@@ -87,11 +87,7 @@ def _cmd_augment_preview(args) -> int:
     for i in range(count):
         img = dat.load_image(manifest.image_path(i))
         rng = Rng(dat.per_sample_seed(recipe.seed, 0, i))
-        if policy.crop_mode == "RRC":
-            cropped = aug.random_resized_crop(img, policy.train_resolution, rng)
-        else:
-            cropped = aug.simple_random_crop(img, policy.train_resolution, rng)
-        out, branch = aug.three_augment_traced(cropped, policy, rng)
+        out, branch = aug.three_augment_traced(trn.train_crop(img, policy, rng), policy, rng)
         name = f"sample{i:04d}_seed{recipe.seed:016x}_branch{branch}.img1"
         dat.save_image(out, out_dir / name)
         print(name)
@@ -100,10 +96,11 @@ def _cmd_augment_preview(args) -> int:
 
 def _cmd_schedule_dump(args) -> int:
     recipe = _recipe_from_args(args)
-    base_drop = recipe.drop_path
-    if base_drop is None:
-        base_drop = mdl.preset_drop_path(args.model, recipe.dataset) if args.model else 0.0
-    drop_path, weight_decay = trn.resolve_regularization(recipe, base_drop)
+    # with no --model the base drop-path rate is 0.0
+    base = mdl.preset_config(
+        args.model or "vit-t", drop_path_rate=None if args.model else 0.0, dataset=recipe.dataset
+    )
+    config, recipe = trn.resolve_run(recipe, base)
     schedule = opt.ScheduleConfig(
         base_lr=recipe.lr,
         warmup_epochs=recipe.warmup_epochs,
@@ -112,7 +109,8 @@ def _cmd_schedule_dump(args) -> int:
     )
     lines = ["step,lr,drop_path,weight_decay"]
     for step in range(schedule.total_steps):
-        lines.append(f"{step},{opt.cosine_lr(schedule, step)!r},{drop_path!r},{weight_decay!r}")
+        lr = opt.cosine_lr(schedule, step)
+        lines.append(f"{step},{lr!r},{config.drop_path_rate!r},{recipe.weight_decay!r}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

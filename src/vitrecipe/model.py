@@ -11,7 +11,7 @@ positional-embedding resampler that makes the model resolution-flexible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -319,10 +319,6 @@ def interpolate_pos_embed(params: ViTParams, new_size: int, patch_size: int) -> 
         new_pos.astype(pos.dtype), requires_grad=params["pos_embed"].requires_grad
     )
     return out
-
-
-def config_at_resolution(config: ViTConfig, new_size: int) -> ViTConfig:
-    return replace(config, image_size=new_size)
 
 
 # -- accounting oracles ---------------------------------------------------------

@@ -6,16 +6,17 @@ and the stochastic-depth masks each derive from the global seed through
 their own tagged chain, so two runs produce byte-identical checkpoints.
 
 Metrics go to a CSV ("epoch,step,lr,train_loss,train_acc,val_acc,
-wall_seconds"); the resolved config is recorded as '#' comment lines
-above the header. A non-finite loss aborts the run naming the step.
+wall_seconds"). The effective run, as `resolve_run` returns it, is recorded
+once by `run_record`: as '#' comment lines above the CSV header and as the
+checkpoint's config block. A non-finite loss aborts the run naming the step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -54,15 +55,18 @@ def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
     )
 
 
+def train_crop(img: aug.ImageU8, policy: aug.AugmentPolicy, rng: Rng) -> aug.ImageU8:
+    """Geometric crop to the train resolution, RRC or SRC by the policy."""
+    crop = aug.random_resized_crop if policy.crop_mode == "RRC" else aug.simple_random_crop
+    return crop(img, policy.train_resolution, rng)
+
+
 def augment_train_sample(
     img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
 ) -> aug.ImageU8:
     """Geometric crop to the train resolution, then the photometric stack
     (which also owns the horizontal flip)."""
-    if policy.crop_mode == "RRC":
-        out = aug.random_resized_crop(img, policy.train_resolution, rng)
-    else:
-        out = aug.simple_random_crop(img, policy.train_resolution, rng)
+    out = train_crop(img, policy, rng)
     if use_three_augment:
         return aug.three_augment(out, policy, rng)
     if rng.uniform() < policy.hflip_prob:
@@ -136,16 +140,41 @@ def _loss_fn(recipe: RecipeConfig, logits: Tensor, targets: np.ndarray) -> Tenso
     return opt.ce_smoothed_loss(logits, targets, recipe.label_smoothing)
 
 
-def resolve_regularization(recipe: RecipeConfig, base_drop_path: float):
-    """Long-run scaling of (drop_path, weight_decay) from the epoch budget."""
-    if recipe.drop_path is not None:
-        base_drop_path = recipe.drop_path
-    sched = opt.RegularizationSchedule(
-        base_drop_path=base_drop_path,
-        base_weight_decay=recipe.weight_decay,
-        epochs=recipe.epochs,
+def resolve_run(
+    recipe: RecipeConfig, base: mdl.ViTConfig
+) -> Tuple[mdl.ViTConfig, RecipeConfig]:
+    """The effective (model, recipe) of a run, resolved in this one place.
+
+    `base` is the model as built: a preset or explicit config at the train
+    resolution, or a loaded checkpoint at the new resolution. An explicit
+    `recipe.drop_path` replaces its drop-path rate, then the long-run rule
+    scales drop path and weight decay from the epoch budget. The returned
+    recipe carries the scaled weight decay and agrees with the model on the
+    train resolution and the LayerScale init, so `run_record` of the pair
+    describes the run as it was trained."""
+    base_drop_path = base.drop_path_rate if recipe.drop_path is None else recipe.drop_path
+    drop_path, weight_decay = opt.scale_regularization(
+        opt.RegularizationSchedule(
+            base_drop_path=base_drop_path,
+            base_weight_decay=recipe.weight_decay,
+            epochs=recipe.epochs,
+        )
     )
-    return opt.scale_regularization(sched)
+    config = replace(base, drop_path_rate=drop_path)
+    recipe = replace(
+        recipe,
+        weight_decay=weight_decay,
+        train_resolution=config.image_size,
+        layerscale_init=config.layerscale_init,
+    )
+    return config, recipe
+
+
+def run_record(config: mdl.ViTConfig, recipe: RecipeConfig) -> Dict[str, object]:
+    """`model.<field>` and `recipe.<field>` for every field of both configs."""
+    record: Dict[str, object] = {f"model.{k}": v for k, v in mdl_config_dict(config).items()}
+    record.update((f"recipe.{f.name}", getattr(recipe, f.name)) for f in fields(recipe))
+    return record
 
 
 def evaluate(
@@ -218,18 +247,8 @@ def _run_training(
     cache = _ImageCache(manifest)
     eval_cache: Dict[int, np.ndarray] = {}
     val_cache: Dict[int, np.ndarray] = {}
-    drop_path, weight_decay = config.drop_path_rate, recipe.weight_decay
-
-    header_info: Dict[str, object] = {}
-    for key, value in vars(recipe).items():
-        header_info[f"recipe.{key}"] = value
-    for key in ("patch_size", "embed_dim", "depth", "num_heads", "image_size", "num_classes"):
-        header_info[f"model.{key}"] = getattr(config, key)
-    header_info["model.drop_path_rate"] = drop_path
-    header_info["effective.weight_decay"] = weight_decay
-    header_info["steps_per_epoch"] = steps_per_epoch
-    if extra_header:
-        header_info.update(extra_header)
+    record = run_record(config, recipe)
+    header_info = dict(record, steps_per_epoch=steps_per_epoch, **(extra_header or {}))
 
     start_time = time.monotonic()
     final_train_acc: Optional[float] = None
@@ -261,7 +280,7 @@ def _run_training(
                     for name, p in params.items()
                 }
                 grads = opt.grad_clip_global_norm(grads, recipe.grad_clip)
-                opt.lamb_step(params, grads, state, lr, weight_decay)
+                opt.lamb_step(params, grads, state, lr, recipe.weight_decay)
                 for p in params.values():
                     p.zero_grad()
 
@@ -285,48 +304,26 @@ def _run_training(
                 )
                 global_step += 1
 
-    block: Dict[str, object] = {f"model.{k}": v for k, v in mdl_config_dict(config).items()}
-    block["recipe.loss"] = recipe.loss
-    block["recipe.seed"] = recipe.seed
-    block["recipe.epochs"] = recipe.epochs
-    save_checkpoint(checkpoint_path, block, pack_training_state(params, state))
-    grid = config.image_size // config.patch_size
+    save_checkpoint(checkpoint_path, record, pack_training_state(params, state))
     return TrainResult(
         checkpoint_path=checkpoint_path,
         metrics_path=metrics_path,
         final_train_acc=final_train_acc,
         final_val_acc=final_val_acc,
         steps=recipe.epochs * steps_per_epoch,
-        pos_grid=(grid, grid),
+        pos_grid=(config.grid, config.grid),
     )
 
 
 def mdl_config_dict(config: mdl.ViTConfig) -> Dict[str, object]:
-    return {
-        "patch_size": config.patch_size,
-        "embed_dim": config.embed_dim,
-        "depth": config.depth,
-        "num_heads": config.num_heads,
-        "image_size": config.image_size,
-        "num_classes": config.num_classes,
-        "mlp_ratio": config.mlp_ratio,
-        "drop_path_rate": config.drop_path_rate,
-        "layerscale_init": config.layerscale_init,
-    }
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def config_from_block(block: Dict[str, str]) -> mdl.ViTConfig:
+    types = get_type_hints(mdl.ViTConfig)
     try:
         return mdl.ViTConfig(
-            patch_size=int(block["model.patch_size"]),
-            embed_dim=int(block["model.embed_dim"]),
-            depth=int(block["model.depth"]),
-            num_heads=int(block["model.num_heads"]),
-            image_size=int(block["model.image_size"]),
-            num_classes=int(block["model.num_classes"]),
-            mlp_ratio=float(block["model.mlp_ratio"]),
-            drop_path_rate=float(block["model.drop_path_rate"]),
-            layerscale_init=float(block["model.layerscale_init"]),
+            **{f.name: types[f.name](block[f"model.{f.name}"]) for f in fields(mdl.ViTConfig)}
         )
     except KeyError as exc:
         raise FormatError(f"checkpoint config block missing {exc}") from exc
@@ -340,32 +337,6 @@ def load_model(path):
     return config, params, state, block
 
 
-def _model_config_for(
-    recipe: RecipeConfig, manifest: dat.DatasetManifest, model: Union[str, mdl.ViTConfig]
-) -> mdl.ViTConfig:
-    if isinstance(model, str):
-        base_drop = (
-            recipe.drop_path
-            if recipe.drop_path is not None
-            else mdl.preset_drop_path(model, recipe.dataset)
-        )
-        drop_path, _ = resolve_regularization(recipe, base_drop)
-        return mdl.preset_config(
-            model,
-            image_size=recipe.train_resolution,
-            num_classes=manifest.num_classes,
-            drop_path_rate=drop_path,
-            dataset=recipe.dataset,
-        )
-    drop_path, _ = resolve_regularization(recipe, model.drop_path_rate)
-    return replace(
-        model,
-        image_size=recipe.train_resolution,
-        num_classes=manifest.num_classes,
-        drop_path_rate=drop_path,
-    )
-
-
 def train(
     recipe: RecipeConfig,
     manifest: dat.DatasetManifest,
@@ -375,14 +346,16 @@ def train(
     eval_every: int = 1,
 ) -> TrainResult:
     """From-scratch training; `model` is a preset name or explicit config."""
-    config = _model_config_for(recipe, manifest, model)
+    if isinstance(model, str):
+        model = mdl.preset_config(model, dataset=recipe.dataset)
     # the branch-gate init is a recipe knob; "off" means gates start at identity
-    ls_init = recipe.layerscale_init if recipe.layerscale else 1.0
-    config = replace(config, layerscale_init=ls_init)
-    _, weight_decay = resolve_regularization(
-        recipe, config.drop_path_rate
+    base = replace(
+        model,
+        image_size=recipe.train_resolution,
+        num_classes=manifest.num_classes,
+        layerscale_init=recipe.layerscale_init if recipe.layerscale else 1.0,
     )
-    recipe = replace(recipe, weight_decay=weight_decay)
+    config, recipe = resolve_run(recipe, base)
     params = mdl.init(config, Rng(derive_seed(recipe.seed, dat.TAG_INIT)))
     return _run_training(
         recipe, manifest, config, params, out_dir, val_manifest=val_manifest, eval_every=eval_every
@@ -411,26 +384,16 @@ def finetune(
         raise ParameterError(
             f"resolution {new_resolution} not divisible by patch {loaded_config.patch_size}"
         )
-    old_grid = loaded_config.image_size // loaded_config.patch_size
-    new_grid = new_resolution // loaded_config.patch_size
     params = mdl.interpolate_pos_embed(params, new_resolution, loaded_config.patch_size)
-    recipe = replace(recipe, train_resolution=new_resolution)
-    base_drop = recipe.drop_path if recipe.drop_path is not None else loaded_config.drop_path_rate
-    drop_path, weight_decay = resolve_regularization(recipe, base_drop)
-    recipe = replace(recipe, weight_decay=weight_decay)
-    config = replace(
-        loaded_config, image_size=new_resolution, drop_path_rate=drop_path
-    )
-    extra = {"pos_grid": f"{old_grid}x{old_grid}->{new_grid}x{new_grid}"}
-    result = _run_training(
+    config, recipe = resolve_run(recipe, replace(loaded_config, image_size=new_resolution))
+    grids = f"{loaded_config.grid}x{loaded_config.grid}->{config.grid}x{config.grid}"
+    return _run_training(
         recipe,
         manifest,
         config,
         params,
         out_dir,
-        extra_header=extra,
+        extra_header={"pos_grid": grids},
         val_manifest=val_manifest,
         eval_every=eval_every,
     )
-    result.pos_grid = (new_grid, new_grid)
-    return result

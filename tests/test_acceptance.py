@@ -393,7 +393,7 @@ def test_criterion_09_fixres_pipeline(tmp_path_factory, toy_manifest, bce_run):
     config, params, _, _ = trn.load_model(result_bce.checkpoint_path)
 
     naive_params = mdl.interpolate_pos_embed(params, 48, config.patch_size)
-    naive_config = mdl.config_at_resolution(config, 48)
+    naive_config = replace(config, image_size=48)
     naive48 = trn.evaluate(naive_config, naive_params, toy_manifest)
 
     ft_recipe = replace(

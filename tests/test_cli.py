@@ -1,11 +1,17 @@
 """End-to-end command-line flows on a miniature dataset."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vitrecipe import cli
+from vitrecipe import config as cfg
 from vitrecipe import data as dat
+from vitrecipe import model as mdl
 from vitrecipe import optim as opt
+from vitrecipe import training as trn
+from vitrecipe.rng import Rng
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +119,24 @@ def test_schedule_dump_reproduces_cosine(capsys):
         assert float(row[3]) == 0.02
 
 
+@pytest.mark.parametrize(
+    "model,drop_path", [(["--model", "vit-b"], 0.2), ([], 0.1)]  # no model: base rate 0.0
+)
+def test_schedule_dump_applies_the_long_run_rule(capsys, model, drop_path):
+    code = cli.main(["schedule-dump", "--preset", "in1k", "--override", "epochs=800"] + model)
+    assert code == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 800
+    assert {(r[2], r[3]) for r in rows} == {(rows[0][2], rows[0][3])}
+    # +0.05 drop path per 200 epochs past 400, weight decay pinned to 0.05
+    assert float(rows[0][2]) == pytest.approx(drop_path)
+    assert float(rows[0][3]) == 0.05
+    if model:
+        recipe = replace(cfg.preset("in1k"), epochs=800)
+        config, recipe = trn.resolve_run(recipe, mdl.preset_config("vit-b"))
+        assert (repr(config.drop_path_rate), repr(recipe.weight_decay)) == (rows[0][2], rows[0][3])
+
+
 def test_flops_reports_published_scale(capsys):
     code = cli.main(["flops", "--model", "vit-s", "--resolution", "224"])
     assert code == 0
@@ -140,6 +164,25 @@ def test_augment_preview_writes_img1(dataset, tmp_path, capsys):
         img = dat.load_image(f)
         assert img.pixels.shape == (16, 16, 3)
         assert "_branch" in f.name and f.name.split("_branch")[1][0] in "012"
+
+
+@pytest.mark.parametrize("crop_mode", ["rrc", "src"])
+def test_augment_preview_matches_train_augmentation(dataset, tmp_path, crop_mode):
+    out = tmp_path / "aug"
+    overrides = ["train_resolution=16", f"crop_mode={crop_mode}"]
+    code = cli.main(
+        ["augment-preview", "--data", str(dataset), "--out", str(out), "--count", "4",
+         "--seed", "9"] + [arg for o in overrides for arg in ("--override", o)]
+    )
+    assert code == 0
+    manifest = dat.load_manifest(dataset)
+    policy = trn.policy_from_recipe(cfg.load_recipe(overrides=overrides))
+    files = sorted(out.glob("*.img1"))
+    assert len(files) == 4
+    for i, f in enumerate(files):
+        img = dat.load_image(manifest.image_path(i))
+        expected = trn.augment_train_sample(img, policy, True, Rng(dat.per_sample_seed(9, 0, i)))
+        np.testing.assert_array_equal(dat.load_image(f).pixels, expected.pixels)
 
 
 def test_cli_maps_value_errors_to_exit_2(dataset, tmp_path, capsys):

@@ -3,6 +3,7 @@ forward invariants, stochastic-depth statistics, positional-grid
 resampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ def test_interpolate_rejects_indivisible_size():
 def test_interpolated_model_still_runs():
     params = tiny_params()
     grown = mdl.interpolate_pos_embed(params, 32, TINY.patch_size)
-    config = mdl.config_at_resolution(TINY, 32)
+    config = replace(TINY, image_size=32)
     logits = mdl.forward(config, grown, batch(2, config=config, seed=12), mode="eval")
     assert logits.shape == (2, TINY.num_classes)
 

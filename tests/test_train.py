@@ -1,7 +1,7 @@
 """Training loop: determinism, metrics format, checkpoint container,
 finetune wiring, abort contract."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -224,6 +224,72 @@ def test_evaluate_class_count_contract(synth_root):
 def test_config_from_block_missing_key():
     with pytest.raises(FormatError):
         trn.config_from_block({"model.patch_size": "4"})
+
+
+# -- the effective run -----------------------------------------------------------
+
+
+def header_record(metrics_path):
+    lines = metrics_path.read_text().splitlines()
+    return dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+
+
+def test_resolve_run_long_schedule_scales_drop_path_and_pins_weight_decay():
+    recipe = replace(cfg.preset("in1k"), epochs=800)
+    config, resolved = trn.resolve_run(recipe, mdl.preset_config("vit-b"))
+    assert config.drop_path_rate == pytest.approx(0.2)
+    assert resolved.weight_decay == 0.05
+    config, resolved = trn.resolve_run(replace(recipe, epochs=400), mdl.preset_config("vit-b"))
+    assert (config.drop_path_rate, resolved.weight_decay) == (0.1, 0.02)
+
+
+@pytest.mark.parametrize(
+    "base", [mdl.preset_config("vit-l"), replace(toy_model(), drop_path_rate=0.3)]
+)
+def test_resolve_run_explicit_drop_path_wins(base):
+    config, resolved = trn.resolve_run(toy_recipe(drop_path=0.05), base)
+    assert config.drop_path_rate == 0.05
+    assert resolved.drop_path == 0.05
+
+
+def test_train_and_finetune_apply_the_long_run_rule(tmp_path):
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=1, resolution=8, seed=0), tmp_path / "ds"
+    )
+    recipe = toy_recipe(
+        batch_size=2, epochs=601, train_resolution=8, eval_resolution=8, repeated_aug=False
+    )
+    pre = trn.train(recipe, manifest, toy_model(image_size=8), tmp_path / "pre", eval_every=0)
+    header = header_record(pre.metrics_path)
+    assert header["model.drop_path_rate"] == "0.05"  # 0.0 + 0.05 per 200 epochs past 400
+    assert header["recipe.weight_decay"] == "0.05"  # pinned, from 0.02
+    fin = trn.finetune(
+        pre.checkpoint_path, replace(recipe, drop_path=0.1, weight_decay=0.1), manifest, 12,
+        tmp_path / "fin", eval_every=0,
+    )
+    header = header_record(fin.metrics_path)
+    assert float(header["model.drop_path_rate"]) == pytest.approx(0.15)
+    assert header["recipe.weight_decay"] == "0.05"
+
+
+def test_header_and_checkpoint_record_the_same_run(tmp_path, synth_root):
+    pre = trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "pre")
+    recipe = replace(
+        cfg.preset("fixres_finetune"), batch_size=8, epochs=2, seed=4, drop_path=0.1
+    )
+    fin = trn.finetune(pre.checkpoint_path, recipe, synth_root, 24, tmp_path / "fin")
+    for result in (pre, fin):
+        config, _, _, block = trn.load_model(result.checkpoint_path)
+        header = header_record(result.metrics_path)
+        assert {k: v for k, v in header.items() if k.startswith(("model.", "recipe."))} == block
+        assert len(block) == len(fields(mdl.ViTConfig)) + len(fields(cfg.RecipeConfig))
+        round_trip = {f"model.{k}": str(v) for k, v in trn.mdl_config_dict(config).items()}
+        assert round_trip == {k: v for k, v in block.items() if k.startswith("model.")}
+        # the recipe records the gates the model was built with, not a knob it ignored
+        assert block["recipe.layerscale_init"] == block["model.layerscale_init"] == "1.0"
+        assert block["recipe.train_resolution"] == block["model.image_size"]
+    # an explicit recipe rate wins over the checkpoint's 0.0
+    assert header_record(fin.metrics_path)["model.drop_path_rate"] == "0.1"
 
 
 # -- finetune -------------------------------------------------------------------
