@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -78,6 +80,8 @@ class Rng:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is ~n/2^64, irrelevant here."""
+        if n < 1:
+            raise ParameterError(f"randint needs n >= 1, got {n}")
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:

@@ -185,14 +185,23 @@ def evaluate(
     batch_size: int = 64,
     cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> float:
-    """Deterministic center-crop top-1 accuracy over the manifest."""
+    """Deterministic center-crop top-1 accuracy over the manifest.
+
+    The forward runs on an untracked view of `params` (same arrays, no
+    `requires_grad`), so no op records a tape node and each intermediate is
+    freed once the next op has read it. The logits are the tracked
+    forward's, bit for bit."""
     if manifest.num_classes != config.num_classes:
         raise ContractError(
             f"dataset has {manifest.num_classes} classes, model expects {config.num_classes}"
         )
     n = len(manifest)
+    if n == 0:
+        raise ContractError("evaluate: the manifest has no entries")
+    if batch_size < 1:
+        raise ParameterError(f"evaluate: batch_size must be at least 1, got {batch_size}")
+    view = {name: Tensor(p.data) for name, p in params.items()}
     correct = 0
-    eval_config = replace(config, drop_path_rate=0.0)
     for start in range(0, n, batch_size):
         idxs = range(start, min(start + batch_size, n))
         rows = []
@@ -205,7 +214,7 @@ def evaluate(
             if cache is not None:
                 cache[i] = prepared
             rows.append(prepared)
-        logits = mdl.forward(eval_config, params, Tensor(np.stack(rows)), mode="eval")
+        logits = mdl.forward(config, view, Tensor(np.stack(rows)), mode="eval")
         preds = logits.data.argmax(axis=1)
         labels = np.array([manifest.label(i) for i in idxs])
         correct += int((preds == labels).sum())
@@ -321,12 +330,16 @@ def mdl_config_dict(config: mdl.ViTConfig) -> Dict[str, object]:
 
 def config_from_block(block: Dict[str, str]) -> mdl.ViTConfig:
     types = get_type_hints(mdl.ViTConfig)
-    try:
-        return mdl.ViTConfig(
-            **{f.name: types[f.name](block[f"model.{f.name}"]) for f in fields(mdl.ViTConfig)}
-        )
-    except KeyError as exc:
-        raise FormatError(f"checkpoint config block missing {exc}") from exc
+    values = {}
+    for f in fields(mdl.ViTConfig):
+        key = f"model.{f.name}"
+        try:
+            values[f.name] = types[f.name](block[key])
+        except KeyError:
+            raise FormatError(f"checkpoint config block missing {key!r}") from None
+        except ValueError as exc:
+            raise FormatError(f"checkpoint config block: malformed {key}={block[key]!r}") from exc
+    return mdl.ViTConfig(**values)
 
 
 def load_model(path):

@@ -199,6 +199,16 @@ def test_cli_maps_value_errors_to_exit_2(dataset, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_of_an_empty_manifest_exits_2(trained, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("classes\t2\n", encoding="utf-8")
+    code = cli.main(
+        ["eval", "--checkpoint", str(trained / "checkpoint.ckpt"), "--data", str(empty)]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_preset(dataset, tmp_path):
     with pytest.raises(SystemExit):
         cli.main(

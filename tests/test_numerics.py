@@ -246,6 +246,15 @@ def test_forward_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_untracked_inputs_record_no_tape_node():
+    a = Tensor(randn(2, 3, seed=43), dtype=np.float64)
+    w = Tensor(randn(3, 4, seed=44), dtype=np.float64)
+    out = nm.gelu(nm.matmul(a, w))
+    assert out.node is None and not out.requires_grad
+    tracked = nm.matmul(a, Tensor(w.data, requires_grad=True))
+    assert tracked.node is not None and tracked.requires_grad
+
+
 # -- error contracts ---------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vitrecipe.errors import ParameterError
 from vitrecipe.rng import Rng, derive_seed, mix64
 
 # Reference outputs for seed 1234567 published with the splitmix64
@@ -98,6 +99,12 @@ def test_randint_covers_range():
     rng = Rng(2)
     draws = {rng.randint(6) for _ in range(600)}
     assert draws == {0, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_randint_rejects_empty_range(n):
+    with pytest.raises(ParameterError):
+        Rng(2).randint(n)
 
 
 def test_gamma_moments():

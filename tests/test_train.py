@@ -10,10 +10,12 @@ from vitrecipe import checkpoint as ckpt
 from vitrecipe import config as cfg
 from vitrecipe import data as dat
 from vitrecipe import model as mdl
+from vitrecipe import numerics as nm
 from vitrecipe import optim as opt
 from vitrecipe import training as trn
 from vitrecipe.errors import ContractError, FormatError, ParameterError
 from vitrecipe.numerics import Tensor
+from vitrecipe.rng import Rng
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +188,7 @@ def test_checkpoint_carries_model_and_state(tmp_path, synth_root):
     assert state is not None
     assert state.step == result.steps
     assert block["recipe.loss"] == "bce"
-    assert set(params) == set(mdl.init(toy_model(), __import__("vitrecipe.rng", fromlist=["Rng"]).Rng(0)))
+    assert set(params) == set(mdl.init(toy_model(), Rng(0)))
 
 
 def test_layerscale_flag_off_means_identity_init(tmp_path, synth_root):
@@ -216,7 +218,7 @@ def test_abort_on_nonfinite_loss(tmp_path, synth_root, monkeypatch):
 
 def test_evaluate_class_count_contract(synth_root):
     config = toy_model(num_classes=5)
-    params = mdl.init(config, __import__("vitrecipe.rng", fromlist=["Rng"]).Rng(0))
+    params = mdl.init(config, Rng(0))
     with pytest.raises(ContractError):
         trn.evaluate(config, params, synth_root)
 
@@ -224,6 +226,73 @@ def test_evaluate_class_count_contract(synth_root):
 def test_config_from_block_missing_key():
     with pytest.raises(FormatError):
         trn.config_from_block({"model.patch_size": "4"})
+
+
+def test_config_from_block_names_the_malformed_key():
+    block = {f"model.{k}": str(v) for k, v in trn.mdl_config_dict(toy_model()).items()}
+    block["model.depth"] = "x"
+    with pytest.raises(FormatError, match="model.depth"):
+        trn.config_from_block(block)
+
+
+def test_evaluate_rejects_empty_manifest_and_bad_batch_size(synth_root):
+    config = toy_model()
+    params = mdl.init(config, Rng(0))
+    empty = dat.DatasetManifest(root=synth_root.root, entries=(), num_classes=2)
+    with pytest.raises(ContractError, match="no entries"):
+        trn.evaluate(config, params, empty)
+    for batch_size in (0, -1):
+        with pytest.raises(ParameterError, match="batch_size"):
+            trn.evaluate(config, params, synth_root, batch_size=batch_size)
+
+
+# -- untracked evaluation -------------------------------------------------------------
+
+
+def test_evaluate_builds_no_tape(synth_root, monkeypatch):
+    made = []
+
+    class CountingNode(nm.TapeNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(nm, "TapeNode", CountingNode)
+    config = toy_model()
+    params = mdl.init(config, Rng(0))
+    images = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
+    mdl.forward(config, params, images, mode="eval")
+    assert made, "the counting node must see a tracked forward"
+    made.clear()
+    trn.evaluate(config, params, synth_root, batch_size=5)
+    assert made == []
+    assert all(p.requires_grad and p.grad is None for p in params.values())
+
+
+def test_evaluate_logits_match_the_tracked_forward(synth_root, monkeypatch):
+    real_forward = mdl.forward
+    calls = []
+
+    def recording(config, params, images, mode="eval", rng=None):
+        out = real_forward(config, params, images, mode=mode, rng=rng)
+        calls.append((params, images.data, out))
+        return out
+
+    monkeypatch.setattr(mdl, "forward", recording)
+    # eval mode never draws drop path, so the rate needs no reset before evaluating
+    config = replace(toy_model(), drop_path_rate=0.3)
+    params = mdl.init(config, Rng(1))
+    trn.evaluate(config, params, synth_root, batch_size=6)
+    assert len(calls) == 3  # 16 images in batches of 6
+    no_drop = replace(config, drop_path_rate=0.0)
+    for view, images, out in calls:
+        assert out.node is None and not out.requires_grad
+        assert all(view[k].data is p.data for k, p in params.items())
+        tracked = real_forward(no_drop, params, Tensor(images), mode="eval")
+        assert tracked.node is not None
+        assert np.array_equal(out.data, tracked.data)
 
 
 # -- the effective run -----------------------------------------------------------
