@@ -42,7 +42,6 @@ from .model import (
 from .numerics import Tensor, backward
 from .optim import (
     LambState,
-    RegularizationSchedule,
     ScheduleConfig,
     bce_loss,
     ce_smoothed_loss,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -54,20 +54,19 @@ class ImageU8:
 class AugmentPolicy:
     color_jitter_strength: float = 0.3
     hflip_prob: float = 0.5
-    solarize_threshold: int = 128
-    blur_sigma_range: tuple = (0.1, 2.0)
-    crop_mode: str = "RRC"
+    crop_mode: str = "rrc"  # the recipe's spelling: "rrc" or "src"
     mixup_alpha: float = 0.8  # <= 0 disables
     cutmix_alpha: float = 1.0  # <= 0 disables
     train_resolution: int = 224
+    # 3-Augment's fixed solarize threshold and blur sigma range
+    solarize_threshold: ClassVar[int] = 128
+    blur_sigma_range: ClassVar[tuple] = (0.1, 2.0)
 
     def __post_init__(self):
-        if self.crop_mode not in ("RRC", "SRC"):
-            raise ParameterError(f"crop_mode must be RRC or SRC, got {self.crop_mode!r}")
+        if self.crop_mode not in ("rrc", "src"):
+            raise ParameterError(f"crop_mode must be rrc or src, got {self.crop_mode!r}")
         if not 0.0 <= self.hflip_prob <= 1.0:
             raise ParameterError("hflip_prob must lie in [0, 1]")
-        if self.blur_sigma_range[0] <= 0 or self.blur_sigma_range[1] < self.blur_sigma_range[0]:
-            raise ParameterError("blur_sigma_range must be 0 < lo <= hi")
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:

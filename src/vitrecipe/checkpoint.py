@@ -54,9 +54,15 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
         pos += n
         return piece
 
+    def text(n: int, what: str) -> str:
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not valid UTF-8") from exc
+
     (block_len,) = struct.unpack("<I", take(4, "config length"))
     config: Dict[str, str] = {}
-    for line in take(block_len, "config block").decode("utf-8").splitlines():
+    for line in text(block_len, "config block").splitlines():
         if not line:
             continue
         if "=" not in line:
@@ -67,7 +73,7 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
     arrays: Dict[str, np.ndarray] = {}
     while pos < len(raw):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -92,15 +98,13 @@ def pack_training_state(
     return arrays
 
 
-def unpack_training_state(
-    arrays: Dict[str, np.ndarray], requires_grad: bool = True, dtype=np.float32
-):
-    """Split a loaded array dict into parameter Tensors and, when the
-    checkpoint carries them, a LambState."""
-    param_arrays = {k: v for k, v in arrays.items() if not k.startswith(OPT_PREFIX)}
+def unpack_training_state(arrays: Dict[str, np.ndarray]):
+    """Split a loaded array dict into trainable f32 parameter Tensors and,
+    when the checkpoint carries them, a LambState."""
     params = {
-        name: Tensor(arr, requires_grad=requires_grad, dtype=dtype)
-        for name, arr in param_arrays.items()
+        name: Tensor(arr, requires_grad=True, dtype=np.float32)
+        for name, arr in arrays.items()
+        if not name.startswith(OPT_PREFIX)
     }
     if OPT_PREFIX + "step" not in arrays:
         return params, None
@@ -108,9 +112,9 @@ def unpack_training_state(
     v = {}
     for key, arr in arrays.items():
         if key.startswith(OPT_PREFIX + "m."):
-            m[key[len(OPT_PREFIX) + 2 :]] = arr.astype(dtype)
+            m[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
         elif key.startswith(OPT_PREFIX + "v."):
-            v[key[len(OPT_PREFIX) + 2 :]] = arr.astype(dtype)
+            v[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
     step = int(arrays[OPT_PREFIX + "step"][0])
     if set(m) != set(params) or set(v) != set(params):
         raise FormatError("checkpoint optimizer moments do not cover the parameters")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import augment as aug
@@ -24,9 +25,7 @@ def _recipe_from_args(args) -> "RecipeConfig":
     recipe = load_recipe(
         config_path=args.config, preset_name=args.preset, overrides=args.override
     )
-    if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
+    if args.seed is not None:
         recipe = replace(recipe, seed=args.seed)
     return recipe
 

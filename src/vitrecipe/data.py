@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import ClassVar, List, Tuple, Union
 
 import numpy as np
 
@@ -88,7 +88,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not valid UTF-8") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty manifest")
@@ -146,7 +149,7 @@ class PlainSampler:
 class RepeatedAugSampler:
     batch_size: int
     seed: int
-    repeats: int = 3
+    repeats: ClassVar[int] = 3  # the recipe's copies per image
 
 
 def batches(
@@ -165,9 +168,11 @@ def batches(
     n = len(manifest)
     if n == 0:
         raise ParameterError("batches: empty manifest")
+    b = sampler.batch_size
+    if b < 1:
+        raise ParameterError(f"batches: batch_size must be at least 1, got {b}")
     order = list(range(n))
     Rng(derive_seed(sampler.seed, TAG_SHUFFLE, epoch)).shuffle(order)
-    b = sampler.batch_size
     if isinstance(sampler, RepeatedAugSampler):
         m = sampler.repeats
         group = math.ceil(b / m)
@@ -189,7 +194,7 @@ class SynthSpec:
     resolution: int
     seed: int
     noise: float = 16.0
-    cycles: float = 2.0
+    cycles: ClassVar[float] = 2.0  # grating cycles per image for class 0
 
     def __post_init__(self):
         if self.num_classes < 2 or self.per_class < 1 or self.resolution < 4:

@@ -106,10 +106,6 @@ class Tensor:
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def _make(out_data, inputs, grad_fn, name) -> Tensor:
     if _FINITE_CHECKS and not np.all(np.isfinite(out_data)):
         raise ContractError(f"non-finite values produced by op '{name}'")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Tuple
 
 import numpy as np
 
@@ -92,9 +92,10 @@ class LambState:
     m: GradDict
     v: GradDict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
+    # the recipe's fixed LAMB hyperparameters
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-6
 
 
 def init_lamb_state(params: Dict[str, Tensor]) -> LambState:
@@ -164,8 +165,9 @@ class ScheduleConfig:
     warmup_epochs: int
     total_epochs: int
     steps_per_epoch: int
-    min_lr: float = 1e-6
-    warmup_start_lr: float = 1e-6
+    # the recipe's fixed schedule endpoints
+    min_lr: ClassVar[float] = 1e-6
+    warmup_start_lr: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.warmup_epochs >= self.total_epochs:
@@ -208,25 +210,16 @@ def cosine_lr(schedule: ScheduleConfig, step: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class RegularizationSchedule:
-    base_drop_path: float
-    base_weight_decay: float
-    epochs: int = 400
-
-
 def scale_regularization(
-    base: RegularizationSchedule, epochs: Optional[int] = None
+    base_drop_path: float, base_weight_decay: float, epochs: int
 ) -> Tuple[float, float]:
     """Long-run scaling: past 400 epochs, raise drop-path by 0.05 per
     extra 200 epochs and pin weight decay to 0.05."""
-    if epochs is None:
-        epochs = base.epochs
     if epochs < 1:
         raise ParameterError("epochs must be at least 1")
     if epochs <= 400:
-        return base.base_drop_path, base.base_weight_decay
-    drop = base.base_drop_path + 0.05 * ((epochs - 400) // 200)
+        return base_drop_path, base_weight_decay
+    drop = base_drop_path + 0.05 * ((epochs - 400) // 200)
     if drop >= 1.0:
         raise ParameterError(f"scaled drop-path rate {drop} is not a valid probability")
     return drop, 0.05

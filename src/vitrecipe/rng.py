@@ -116,7 +116,7 @@ class Rng:
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) via Marsaglia-Tsang, boosted for shape < 1."""
         if shape <= 0.0:
-            raise ValueError("gamma shape must be positive")
+            raise ParameterError(f"gamma shape must be positive, got {shape}")
         if shape < 1.0:
             u = max(self.uniform(), _U53)
             return self.gamma(shape + 1.0) * u ** (1.0 / shape)

@@ -48,7 +48,7 @@ def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
     return aug.AugmentPolicy(
         color_jitter_strength=recipe.color_jitter,
         hflip_prob=0.5 if recipe.hflip else 0.0,
-        crop_mode=recipe.crop_mode.upper(),
+        crop_mode=recipe.crop_mode,
         mixup_alpha=recipe.mixup_alpha,
         cutmix_alpha=recipe.cutmix_alpha,
         train_resolution=recipe.train_resolution,
@@ -57,7 +57,7 @@ def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
 
 def train_crop(img: aug.ImageU8, policy: aug.AugmentPolicy, rng: Rng) -> aug.ImageU8:
     """Geometric crop to the train resolution, RRC or SRC by the policy."""
-    crop = aug.random_resized_crop if policy.crop_mode == "RRC" else aug.simple_random_crop
+    crop = aug.random_resized_crop if policy.crop_mode == "rrc" else aug.simple_random_crop
     return crop(img, policy.train_resolution, rng)
 
 
@@ -150,21 +150,19 @@ def resolve_run(
     `recipe.drop_path` replaces its drop-path rate, then the long-run rule
     scales drop path and weight decay from the epoch budget. The returned
     recipe carries the scaled weight decay and agrees with the model on the
-    train resolution and the LayerScale init, so `run_record` of the pair
-    describes the run as it was trained."""
+    train and eval resolutions (`evaluate` runs at the model's `image_size`)
+    and the LayerScale init, so `run_record` of the pair describes the run as
+    it was trained and evaluated."""
     base_drop_path = base.drop_path_rate if recipe.drop_path is None else recipe.drop_path
     drop_path, weight_decay = opt.scale_regularization(
-        opt.RegularizationSchedule(
-            base_drop_path=base_drop_path,
-            base_weight_decay=recipe.weight_decay,
-            epochs=recipe.epochs,
-        )
+        base_drop_path, recipe.weight_decay, recipe.epochs
     )
     config = replace(base, drop_path_rate=drop_path)
     recipe = replace(
         recipe,
         weight_decay=weight_decay,
         train_resolution=config.image_size,
+        eval_resolution=config.image_size,
         layerscale_init=config.layerscale_init,
     )
     return config, recipe
@@ -392,10 +390,6 @@ def finetune(
         raise FormatError(
             f"checkpoint head has {loaded_config.num_classes} classes, "
             f"dataset has {manifest.num_classes}"
-        )
-    if new_resolution % loaded_config.patch_size != 0:
-        raise ParameterError(
-            f"resolution {new_resolution} not divisible by patch {loaded_config.patch_size}"
         )
     params = mdl.interpolate_pos_embed(params, new_resolution, loaded_config.patch_size)
     config, recipe = resolve_run(recipe, replace(loaded_config, image_size=new_resolution))

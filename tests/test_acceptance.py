@@ -221,8 +221,7 @@ def test_criterion_05_schedule_endpoints():
     )
     assert opt.cosine_lr(schedule, schedule.warmup_steps) == 3e-3
     assert opt.cosine_lr(schedule, schedule.total_steps - 1) == schedule.min_lr
-    base = opt.RegularizationSchedule(base_drop_path=0.1, base_weight_decay=0.02)
-    drop, wd = opt.scale_regularization(base, 800)
+    drop, wd = opt.scale_regularization(0.1, 0.02, 800)
     assert math.isclose(drop, 0.1 + 0.10, abs_tol=1e-12)
     assert wd == 0.05
     report(

@@ -459,3 +459,5 @@ def test_imageu8_validation():
         ImageU8(np.zeros((4, 4, 3), dtype=np.float32))
     with pytest.raises(ParameterError):
         AugmentPolicy(crop_mode="center")
+    with pytest.raises(ParameterError):  # one spelling, the recipe's
+        AugmentPolicy(crop_mode="RRC")

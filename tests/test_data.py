@@ -107,6 +107,13 @@ def test_manifest_rejects_malformed(tmp_path, text):
         dat.load_manifest(path)
 
 
+def test_manifest_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"classes\t2\n\xff.img1\t0\n")
+    with pytest.raises(FormatError):
+        dat.load_manifest(path)
+
+
 # -- seeding --------------------------------------------------------------------
 
 
@@ -164,7 +171,7 @@ def test_plain_epochs_differ_but_replay_identically():
 
 def test_repeated_batch6_m3_two_distinct_each():
     manifest = make_manifest(12)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=1, repeats=3), epoch=0)
+    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=1), epoch=0)
     assert len(out) == 6
     for b in out:
         assert len(b) == 6
@@ -177,7 +184,7 @@ def test_repeated_truncates_tail_group():
     # batch 64 at m=3 takes 22 distinct; 22*3=66 trims to 64, so the last
     # distinct index appears only twice
     manifest = make_manifest(256)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=64, seed=2, repeats=3), epoch=0)
+    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=64, seed=2), epoch=0)
     assert len(out) == 11  # floor(256 / 22)
     for b in out:
         assert len(b) == 64
@@ -187,11 +194,19 @@ def test_repeated_truncates_tail_group():
 
 def test_repeated_drops_leftover_samples():
     manifest = make_manifest(5)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=0, repeats=3), epoch=0)
+    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=0), epoch=0)
     assert len(out) == 2
     for b in out:
         assert len(b) == 6
         assert len(set(b)) == 2
+
+
+@pytest.mark.parametrize("sampler_type", [dat.PlainSampler, dat.RepeatedAugSampler])
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_batches_reject_batch_size_below_one(sampler_type, batch_size):
+    sampler = sampler_type(batch_size=batch_size, seed=0)
+    with pytest.raises(ParameterError):
+        dat.batches(make_manifest(6), sampler, epoch=0)
 
 
 def test_batches_empty_manifest():

@@ -299,18 +299,16 @@ def test_schedule_validation():
     ],
 )
 def test_long_run_regularization_rule(epochs, drop, wd):
-    base = opt.RegularizationSchedule(base_drop_path=0.2, base_weight_decay=0.02)
-    got_drop, got_wd = opt.scale_regularization(base, epochs)
+    got_drop, got_wd = opt.scale_regularization(0.2, 0.02, epochs)
     assert abs(got_drop - drop) < 1e-12
     assert got_wd == wd
 
 
 def test_regularization_guards():
-    base = opt.RegularizationSchedule(base_drop_path=0.9, base_weight_decay=0.02)
     with pytest.raises(ParameterError):
-        opt.scale_regularization(base, 1000)
+        opt.scale_regularization(0.9, 0.02, 1000)
     with pytest.raises(ParameterError):
-        opt.scale_regularization(base, 0)
+        opt.scale_regularization(0.9, 0.02, 0)
 
 
 # -- properties ------------------------------------------------------------------------

@@ -116,8 +116,10 @@ def test_gamma_moments():
 
 
 def test_gamma_rejects_bad_shape():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         Rng(0).gamma(0.0)
+    with pytest.raises(ParameterError):
+        Rng(0).gamma(-1.0)
 
 
 def test_beta_moments_and_support():

@@ -1,6 +1,7 @@
 """Training loop: determinism, metrics format, checkpoint container,
 finetune wiring, abort contract."""
 
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_checkpoint_truncated_record(tmp_path):
     ckpt.save_checkpoint(path, {}, {"w": np.ones(4, dtype=np.float32)})
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
+    with pytest.raises(FormatError):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [struct.pack("<I", 3) + b"k=\xff", struct.pack("<I", 0) + struct.pack("<I", 1) + b"\xff"],
+    ids=["config-block", "tensor-name"],
+)
+def test_checkpoint_rejects_non_utf8_text(tmp_path, tail):
+    path = tmp_path / "u.ckpt"
+    path.write_bytes(b"VITCKPT1" + tail)
     with pytest.raises(FormatError):
         ckpt.load_checkpoint(path)
 
@@ -169,6 +182,22 @@ def test_metrics_csv_shape_and_lr_column(tmp_path, synth_root):
     assert all(0.0 <= float(r[4]) <= 1.0 for r in eval_rows)
     walls = [float(r[6]) for r in rows]
     assert walls == sorted(walls)
+
+
+def test_val_manifest_fills_val_acc_on_epoch_end_rows(tmp_path, synth_root):
+    val = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=4, resolution=16, seed=6), tmp_path / "val"
+    )
+    recipe = toy_recipe()
+    result = trn.train(recipe, synth_root, toy_model(), tmp_path / "v", val_manifest=val)
+    lines = result.metrics_path.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith(("#", "epoch,"))]
+    epoch_ends = {max(i for i, r in enumerate(rows) if r[0] == e) for e in {r[0] for r in rows}}
+    assert len(epoch_ends) == recipe.epochs
+    assert {i for i, r in enumerate(rows) if r[5] != ""} == epoch_ends
+    assert rows[-1][5] == repr(result.final_val_acc)
+    config, params, _, _ = trn.load_model(result.checkpoint_path)
+    assert result.final_val_acc == trn.evaluate(config, params, val, recipe.test_crop_ratio)
 
 
 def test_train_repeated_aug_steps(tmp_path, synth_root):
@@ -339,6 +368,9 @@ def test_train_and_finetune_apply_the_long_run_rule(tmp_path):
     header = header_record(fin.metrics_path)
     assert float(header["model.drop_path_rate"]) == pytest.approx(0.15)
     assert header["recipe.weight_decay"] == "0.05"
+    # evaluate ran at the finetune's 12 px, not the recipe's eval_resolution=8
+    block = trn.load_model(fin.checkpoint_path)[3]
+    assert header["recipe.eval_resolution"] == block["recipe.eval_resolution"] == "12"
 
 
 def test_header_and_checkpoint_record_the_same_run(tmp_path, synth_root):
@@ -357,6 +389,7 @@ def test_header_and_checkpoint_record_the_same_run(tmp_path, synth_root):
         # the recipe records the gates the model was built with, not a knob it ignored
         assert block["recipe.layerscale_init"] == block["model.layerscale_init"] == "1.0"
         assert block["recipe.train_resolution"] == block["model.image_size"]
+        assert block["recipe.eval_resolution"] == block["model.image_size"]
     # an explicit recipe rate wins over the checkpoint's 0.0
     assert header_record(fin.metrics_path)["model.drop_path_rate"] == "0.1"
 
