@@ -11,6 +11,7 @@ Optimizer moments ride along under the "opt." name prefix ("opt.m.x",
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -76,9 +77,12 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
         name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(4 * count, f"values of {name}"), dtype="<f4")
-        arrays[name] = data.reshape(shape).copy()
+        # Python ints: u64 extents can overflow int64 alone or in a product
+        data = np.frombuffer(take(4 * math.prod(shape), f"values of {name}"), dtype="<f4")
+        try:
+            arrays[name] = data.reshape(shape).copy()
+        except ValueError as exc:  # no values, but an extent numpy cannot hold
+            raise FormatError(f"{path}: extents {shape} of {name} are too large") from exc
     return config, arrays
 
 

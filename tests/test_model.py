@@ -181,6 +181,24 @@ def test_forward_batch_permutation_equivariance():
     np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
 
+def test_f32_eval_logits_match_f64_forward():
+    # the eval probe of the benchmark, small: identity gates let every block's
+    # f32 arithmetic (GELU's approximate Φ included) reach the logits
+    config = ViTConfig(
+        patch_size=4, embed_dim=64, depth=2, num_heads=4, image_size=16,
+        num_classes=8, layerscale_init=1.0,
+    )
+    params = mdl.init(config, Rng(6))
+    images = batch(8, config=config, seed=7, dtype=np.float32)
+    logits = mdl.forward(config, params, images, mode="eval").data
+    params64 = {k: Tensor(p.data, dtype=np.float64) for k, p in params.items()}
+    reference = mdl.forward(
+        config, params64, Tensor(images.data, dtype=np.float64), mode="eval"
+    ).data
+    assert logits.dtype == np.float32
+    np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-5)
+
+
 def test_forward_resolution_mismatch():
     params = tiny_params()
     with pytest.raises(DimensionError):

@@ -1,6 +1,8 @@
 """Tensor-op oracles: hand arithmetic, closed forms, and central finite
 differences (h=1e-5, f64) for every differentiable op at ranks 1-4."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,58 @@ def test_softmax_symmetry_and_stability():
 
 def test_gelu_zero_fixed_point():
     assert float(nm.gelu(Tensor(np.zeros(1), dtype=np.float64)).data[0]) == 0.0
+
+
+def gelu_and_derivative(x):
+    """Forward value and the derivative that backward multiplies g by."""
+    out = nm.gelu(Tensor(x, requires_grad=True))
+    return out.data, out.node.grad_fn(np.ones_like(x))[0]
+
+
+def test_gelu_f32_matches_f64_reference():
+    # A&S 7.1.26 is within 7.5e-8 on Φ; the rest is f32 rounding (2e-7 measured)
+    x = np.concatenate([
+        np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32),
+        np.random.default_rng(50).normal(size=1_000_000).astype(np.float32),
+    ])
+    value, deriv = gelu_and_derivative(x)
+    ref_value, ref_deriv = gelu_and_derivative(x.astype(np.float64))
+    assert value.dtype == deriv.dtype == np.float32
+    bound = 3e-7 * np.maximum(1.0, np.abs(x.astype(np.float64)))
+    assert np.all(np.abs(value - ref_value) <= bound)
+    assert np.all(np.abs(deriv - ref_deriv) <= bound)
+
+
+def test_gelu_f32_special_values_match_f64_without_warnings():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, deriv = gelu_and_derivative(x)
+    with np.errstate(invalid="ignore"):  # -inf·0 and inf·0 are nan on both paths
+        ref_value, ref_deriv = gelu_and_derivative(x.astype(np.float64))
+    np.testing.assert_array_equal(value, ref_value.astype(np.float32))
+    np.testing.assert_array_equal(np.signbit(value), np.signbit(ref_value))
+    np.testing.assert_array_equal(deriv, ref_deriv.astype(np.float32))
+
+
+def test_gelu_f32_blocks_match_per_element_results():
+    n = 3 * nm._GELU_BLOCK + 7  # three full blocks and a ragged last one
+    x = np.random.default_rng(51).normal(scale=3.0, size=n).astype(np.float32)
+    value, deriv = gelu_and_derivative(x)
+    edges = [k * nm._GELU_BLOCK + d for k in range(1, 4) for d in (-1, 0)]
+    sampled = np.random.default_rng(52).integers(0, n, size=100)
+    for i in [0, *edges, *range(n - 7, n), *sampled]:
+        v, d = gelu_and_derivative(x[i : i + 1])
+        assert v[0] == value[i] and d[0] == deriv[i], i
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_tracked_call_saves_one_array(dtype):
+    x = Tensor(randn(4, 5, seed=53), requires_grad=True, dtype=dtype)
+    out = nm.gelu(x)
+    saved = [c.cell_contents for c in out.node.grad_fn.__closure__ or ()]
+    arrays = [v for v in saved if isinstance(v, (np.ndarray, Tensor))]
+    assert len(arrays) == 1 and arrays[0].shape == x.shape
 
 
 def test_log_sigmoid_values():

@@ -88,6 +88,21 @@ def test_checkpoint_truncated_record(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "extents",
+    [(2**63,), (2**64 - 1,), (2**32, 2**32), (0, 2**63), (2**62, 2**62, 0)],
+    ids=["2^63", "2^64-1", "2^32x2^32", "0x2^63", "2^62x2^62x0"],
+)
+def test_checkpoint_rejects_oversized_extents(tmp_path, extents):
+    # the first three claim more values than the file holds (the element
+    # count overflows int64); the last two hold no values but cannot be arrays
+    path = tmp_path / "big.ckpt"
+    record = struct.pack("<I", 1) + b"w" + struct.pack(f"<I{len(extents)}Q", len(extents), *extents)
+    path.write_bytes(b"VITCKPT1" + struct.pack("<I", 0) + record + b"\0" * 16)
+    with pytest.raises(FormatError):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
     "tail",
     [struct.pack("<I", 3) + b"k=\xff", struct.pack("<I", 0) + struct.pack("<I", 1) + b"\xff"],
     ids=["config-block", "tensor-name"],
