@@ -18,8 +18,6 @@ from .augment import (
 from .config import PRESET_NAMES, RecipeConfig, load_recipe, preset
 from .data import (
     DatasetManifest,
-    PlainSampler,
-    RepeatedAugSampler,
     SynthSpec,
     load_image,
     load_manifest,

@@ -9,7 +9,7 @@ in recipe experiments surface immediately.
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
 from .errors import ParameterError
 
@@ -19,24 +19,19 @@ PRESET_NAMES = ("in1k", "in21k_pretrain", "in21k_finetune", "fixres_finetune")
 @dataclass(frozen=True)
 class RecipeConfig:
     batch_size: int = 2048
-    optimizer: str = "lamb"
     lr: float = 3e-3
-    lr_decay: str = "cosine"
     weight_decay: float = 0.02
     warmup_epochs: int = 5
     label_smoothing: float = 0.0
-    dropout: float = 0.0
     drop_path: Optional[float] = None  # None: use the model preset's rate
     repeated_aug: bool = True
     grad_clip: float = 1.0
     hflip: bool = True
     crop_mode: str = "rrc"
     three_augment: bool = True
-    layerscale: bool = True
-    layerscale_init: float = 1e-4
+    layerscale_init: float = 1e-4  # 1.0: branch gates start at identity
     mixup_alpha: float = 0.8
     cutmix_alpha: float = 1.0
-    erasing: bool = False
     color_jitter: float = 0.3
     test_crop_ratio: float = 1.0
     loss: str = "bce"
@@ -45,16 +40,13 @@ class RecipeConfig:
     eval_resolution: int = 224
     seed: int = 0
     dataset: str = "in1k"  # corpus tag steering per-model drop-path defaults
+    # the recipe's fixed choices: LAMB, cosine decay, no dropout, no random erasing
+    optimizer: ClassVar[str] = "lamb"
+    lr_decay: ClassVar[str] = "cosine"
+    dropout: ClassVar[float] = 0.0
+    erasing: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.optimizer != "lamb":
-            raise ParameterError("optimizer is fixed to lamb in this recipe")
-        if self.lr_decay != "cosine":
-            raise ParameterError("lr_decay is fixed to cosine in this recipe")
-        if self.dropout != 0.0:
-            raise ParameterError("dropout is fixed off in this recipe")
-        if self.erasing:
-            raise ParameterError("random erasing is fixed off in this recipe")
         if self.crop_mode not in ("rrc", "src"):
             raise ParameterError(f"crop_mode must be rrc or src, got {self.crop_mode!r}")
         if self.loss not in ("bce", "ce"):
@@ -63,8 +55,10 @@ class RecipeConfig:
             raise ParameterError("label_smoothing must lie in [0, 1)")
         if not 0.0 < self.test_crop_ratio <= 1.0:
             raise ParameterError("test_crop_ratio must lie in (0, 1]")
-        if self.warmup_epochs >= self.epochs:
-            raise ParameterError("warmup_epochs must be smaller than epochs")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ParameterError("warmup_epochs must lie in [0, epochs)")
+        if self.weight_decay < 0:
+            raise ParameterError("weight_decay must be non-negative")
         if self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("batch_size and epochs must be at least 1")
         if self.drop_path is not None and not 0.0 <= self.drop_path < 1.0:
@@ -109,8 +103,12 @@ def preset(name: str) -> RecipeConfig:
 
 def parse_config_file(path) -> dict:
     """Flat "key = value" lines; '#' starts a comment anywhere."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: config file is not valid UTF-8") from exc
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, List, Tuple, Union
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 
@@ -139,49 +139,35 @@ def repeat_seed(sample_seed: int, repeat_index: int) -> int:
 # -- batch sampling --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlainSampler:
-    batch_size: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class RepeatedAugSampler:
-    batch_size: int
-    seed: int
-    repeats: ClassVar[int] = 3  # the recipe's copies per image
+REPEATS = 3  # the recipe's repeated-augmentation copies per image
 
 
 def batches(
-    manifest: DatasetManifest,
-    sampler: Union[PlainSampler, RepeatedAugSampler],
-    epoch: int,
+    manifest: DatasetManifest, batch_size: int, seed: int, epoch: int, repeated: bool
 ) -> List[List[int]]:
     """Index lists for one epoch.
 
     Plain mode: seeded permutation cut into consecutive chunks (trailing
     partial batch kept). Repeated mode: each batch takes
-    ceil(batch_size/repeats) distinct samples from the permutation and
+    ceil(batch_size/REPEATS) distinct samples from the permutation and
     repeats each one, truncating the tail to batch_size; the epoch ends
     when too few distinct samples remain for a full batch.
     """
     n = len(manifest)
     if n == 0:
         raise ParameterError("batches: empty manifest")
-    b = sampler.batch_size
-    if b < 1:
-        raise ParameterError(f"batches: batch_size must be at least 1, got {b}")
+    if batch_size < 1:
+        raise ParameterError(f"batches: batch_size must be at least 1, got {batch_size}")
     order = list(range(n))
-    Rng(derive_seed(sampler.seed, TAG_SHUFFLE, epoch)).shuffle(order)
-    if isinstance(sampler, RepeatedAugSampler):
-        m = sampler.repeats
-        group = math.ceil(b / m)
+    Rng(derive_seed(seed, TAG_SHUFFLE, epoch)).shuffle(order)
+    if repeated:
+        group = math.ceil(batch_size / REPEATS)
         out = []
         for start in range(0, n - group + 1, group):
-            batch = [idx for idx in order[start : start + group] for _ in range(m)]
-            out.append(batch[:b])
+            batch = [idx for idx in order[start : start + group] for _ in range(REPEATS)]
+            out.append(batch[:batch_size])
         return out
-    return [order[start : start + b] for start in range(0, n, b)]
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
 # -- synthetic dataset -------------------------------------------------------------

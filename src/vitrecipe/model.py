@@ -187,7 +187,7 @@ def _attention(x: Tensor, params: ViTParams, prefix: str, num_heads: int) -> Ten
     k = nm.reshape(nm.narrow(qkv, 0, 1, 1), (b, num_heads, t, dh))
     v = nm.reshape(nm.narrow(qkv, 0, 2, 1), (b, num_heads, t, dh))
     scores = nm.matmul(nm.scale(q, dh**-0.5), nm.transpose(k, (0, 1, 3, 2)))
-    attn = nm.softmax(scores, axis=-1)
+    attn = nm.softmax(scores)
     out = nm.matmul(attn, v)
     out = nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (b, t, d))
     return nm.add(nm.matmul(out, params[prefix + "attn.proj.weight"]), params[prefix + "attn.proj.bias"])

@@ -19,16 +19,8 @@ from scipy.special import erf, expit
 
 from .errors import ContractError, DimensionError
 
-_FINITE_CHECKS = False
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf assertions on every op output (debug aid, off by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class TapeNode:
@@ -75,40 +67,8 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
 
 def _make(out_data, inputs, grad_fn, name) -> Tensor:
-    if _FINITE_CHECKS and not np.all(np.isfinite(out_data)):
-        raise ContractError(f"non-finite values produced by op '{name}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -220,17 +180,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- shape ops -------------------------------------------------------------
 
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.shape
     out = a.data.reshape(shape)
     return _make(out, (a,), lambda g: (g.reshape(old),), "reshape")
 
 
-def transpose(a: Tensor, *axes) -> Tensor:
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
+def transpose(a: Tensor, axes: tuple) -> Tensor:
     if len(axes) != a.ndim:
         raise DimensionError(f"transpose: {len(axes)} axes for rank-{a.ndim} tensor")
     inverse = np.argsort(axes)
@@ -285,24 +241,15 @@ def expand_batch(a: Tensor, batch: int) -> Tensor:
     return _make(out, (a,), lambda g: (g.sum(axis=0, keepdims=True),), "expand_batch")
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        out = np.asarray(a.data.sum())
-        shape = a.shape
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element, as a scalar."""
+    out = np.asarray(a.data.sum())
+    shape = a.shape
 
-        def grad_fn(g):
-            return (np.full(shape, g, dtype=a.data.dtype),)
+    def grad_fn(g):
+        return (np.full(shape, g, dtype=a.data.dtype),)
 
-        return _make(out, (a,), grad_fn, "sum")
-
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn_axis(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),)
-
-    return _make(out, (a,), grad_fn_axis, "sum")
+    return _make(out, (a,), grad_fn, "sum")
 
 
 # -- normalization and activations -----------------------------------------
@@ -337,28 +284,26 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), grad_fn, "layernorm")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax: axis {axis} out of range for rank {x.ndim}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _make(out, (x,), grad_fn, "softmax")
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"log_softmax: axis {axis} out of range for rank {x.ndim}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def grad_fn(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _make(out, (x,), grad_fn, "log_softmax")
 

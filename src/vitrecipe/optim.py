@@ -58,7 +58,7 @@ def ce_smoothed_loss(logits: Tensor, targets, epsilon: float = 0.0) -> Tensor:
         )
     b, k = logits.shape
     smoothed = (1.0 - epsilon) * t + epsilon / k
-    log_probs = nm.log_softmax(logits, axis=-1)
+    log_probs = nm.log_softmax(logits)
     return nm.scale(nm.tensor_sum(nm.mul(log_probs, Tensor(smoothed))), -1.0 / b)
 
 

@@ -54,11 +54,9 @@ class Rng:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
+        z = mix64(self.state)
         self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return z
 
     def u64_array(self, n: int) -> np.ndarray:
         steps = np.arange(1, n + 1, dtype=np.uint64)

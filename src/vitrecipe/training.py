@@ -149,10 +149,10 @@ def resolve_run(
     resolution, or a loaded checkpoint at the new resolution. An explicit
     `recipe.drop_path` replaces its drop-path rate, then the long-run rule
     scales drop path and weight decay from the epoch budget. The returned
-    recipe carries the scaled weight decay and agrees with the model on the
-    train and eval resolutions (`evaluate` runs at the model's `image_size`)
-    and the LayerScale init, so `run_record` of the pair describes the run as
-    it was trained and evaluated."""
+    recipe carries the unscaled drop-path rate and the scaled weight decay,
+    and agrees with the model on the train and eval resolutions (`evaluate`
+    runs at the model's `image_size`) and the LayerScale init, so `run_record`
+    of the pair describes the run as it was trained and evaluated."""
     base_drop_path = base.drop_path_rate if recipe.drop_path is None else recipe.drop_path
     drop_path, weight_decay = opt.scale_regularization(
         base_drop_path, recipe.weight_decay, recipe.epochs
@@ -160,6 +160,7 @@ def resolve_run(
     config = replace(base, drop_path_rate=drop_path)
     recipe = replace(
         recipe,
+        drop_path=base_drop_path,
         weight_decay=weight_decay,
         train_resolution=config.image_size,
         eval_resolution=config.image_size,
@@ -234,11 +235,9 @@ def _run_training(
     metrics_path = out_dir / "metrics.csv"
     checkpoint_path = out_dir / "checkpoint.ckpt"
 
-    if recipe.repeated_aug:
-        sampler = dat.RepeatedAugSampler(batch_size=recipe.batch_size, seed=recipe.seed)
-    else:
-        sampler = dat.PlainSampler(batch_size=recipe.batch_size, seed=recipe.seed)
-    steps_per_epoch = len(dat.batches(manifest, sampler, epoch=0))
+    steps_per_epoch = len(
+        dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug)
+    )
     if steps_per_epoch == 0:
         raise ParameterError(
             "dataset too small for one full batch under the repeated-aug sampler"
@@ -266,7 +265,9 @@ def _run_training(
         metrics.write(METRICS_HEADER + "\n")
         global_step = 0
         for epoch in range(recipe.epochs):
-            epoch_batches = dat.batches(manifest, sampler, epoch)
+            epoch_batches = dat.batches(
+                manifest, recipe.batch_size, recipe.seed, epoch, recipe.repeated_aug
+            )
             for step, indices in enumerate(epoch_batches):
                 lr = opt.cosine_lr(schedule, global_step)
                 images, targets = _assemble_batch(cache, indices, recipe, policy, epoch)
@@ -359,12 +360,11 @@ def train(
     """From-scratch training; `model` is a preset name or explicit config."""
     if isinstance(model, str):
         model = mdl.preset_config(model, dataset=recipe.dataset)
-    # the branch-gate init is a recipe knob; "off" means gates start at identity
     base = replace(
         model,
         image_size=recipe.train_resolution,
         num_classes=manifest.num_classes,
-        layerscale_init=recipe.layerscale_init if recipe.layerscale else 1.0,
+        layerscale_init=recipe.layerscale_init,
     )
     config, recipe = resolve_run(recipe, base)
     params = mdl.init(config, Rng(derive_seed(recipe.seed, dat.TAG_INIT)))
@@ -384,13 +384,23 @@ def finetune(
 ) -> TrainResult:
     """Resume from a checkpoint at a new resolution: the positional grid
     is bicubically resampled, the optimizer starts fresh, and training
-    proceeds under the given recipe at new_resolution."""
-    loaded_config, params, _, _ = load_model(checkpoint_path)
+    proceeds under the given recipe at new_resolution. With no
+    `recipe.drop_path`, the base rate is the checkpoint's recorded
+    `recipe.drop_path`, which the long-run rule then scales for this run."""
+    loaded_config, params, _, block = load_model(checkpoint_path)
     if manifest.num_classes != loaded_config.num_classes:
         raise FormatError(
             f"checkpoint head has {loaded_config.num_classes} classes, "
             f"dataset has {manifest.num_classes}"
         )
+    if recipe.drop_path is None:
+        text = block.get("recipe.drop_path")
+        try:
+            recipe = replace(recipe, drop_path=float(text))
+        except (TypeError, ValueError) as exc:  # ParameterError: outside [0, 1)
+            raise FormatError(
+                f"checkpoint config block: missing or malformed recipe.drop_path={text!r}"
+            ) from exc
     params = mdl.interpolate_pos_embed(params, new_resolution, loaded_config.patch_size)
     config, recipe = resolve_run(recipe, replace(loaded_config, image_size=new_resolution))
     grids = f"{loaded_config.grid}x{loaded_config.grid}->{config.grid}x{config.grid}"

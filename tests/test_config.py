@@ -7,26 +7,25 @@ import pytest
 from vitrecipe import config as cfg
 from vitrecipe.errors import ParameterError
 
+# the recipe's fixed values: class constants, read with getattr like the keys
+FIXED = {"optimizer": "lamb", "lr_decay": "cosine", "dropout": 0.0, "erasing": False}
+
 IN1K_SNAPSHOT = {
+    **FIXED,
     "batch_size": 2048,
-    "optimizer": "lamb",
     "lr": 3e-3,
-    "lr_decay": "cosine",
     "weight_decay": 0.02,
     "warmup_epochs": 5,
     "label_smoothing": 0.0,
-    "dropout": 0.0,
     "drop_path": None,
     "repeated_aug": True,
     "grad_clip": 1.0,
     "hflip": True,
     "crop_mode": "rrc",
     "three_augment": True,
-    "layerscale": True,
     "layerscale_init": 1e-4,
     "mixup_alpha": 0.8,
     "cutmix_alpha": 1.0,
-    "erasing": False,
     "color_jitter": 0.3,
     "test_crop_ratio": 1.0,
     "loss": "bce",
@@ -74,11 +73,12 @@ SNAPSHOTS = {
 
 @pytest.mark.parametrize("name", cfg.PRESET_NAMES)
 def test_preset_snapshot_key_by_key(name):
-    got = dataclasses.asdict(cfg.preset(name))
+    recipe = cfg.preset(name)
     expected = SNAPSHOTS[name]
-    assert set(got) == set(expected)
+    assert set(dataclasses.asdict(recipe)) == set(expected) - set(FIXED)
     for key in expected:
-        assert got[key] == expected[key], f"{name}.{key}: {got[key]!r} != {expected[key]!r}"
+        got = getattr(recipe, key)
+        assert got == expected[key], f"{name}.{key}: {got!r} != {expected[key]!r}"
 
 
 def test_unknown_preset():
@@ -113,11 +113,14 @@ def test_coupling_rule_combinations_are_constructible():
         {"mixup_alpha": -1.0},
         {"cutmix_alpha": -0.5},
         {"dataset": "jft"},
+        {"warmup_epochs": -2, "epochs": 4},
+        {"weight_decay": -0.1},
     ],
 )
 def test_recipe_validation_rejects(kwargs):
+    # the fixed values (the first four cases) are no keys, so naming one fails
     with pytest.raises(ParameterError):
-        cfg.RecipeConfig(**kwargs)
+        cfg.load_recipe(overrides=[f"{key}={value}" for key, value in kwargs.items()])
 
 
 # -- config files ----------------------------------------------------------------
@@ -135,6 +138,24 @@ def test_parse_config_file(tmp_path):
     )
     raw = cfg.parse_config_file(path)
     assert raw == {"lr": "0.001", "batch_size": "128", "crop_mode": "src"}
+
+
+def test_parse_config_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"lr = 1e-3 # \xff\n")
+    with pytest.raises(ParameterError) as excinfo:
+        cfg.parse_config_file(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("key", ["optimizer", "lr_decay", "dropout", "erasing", "layerscale"])
+def test_fixed_values_are_unknown_keys(tmp_path, key):
+    with pytest.raises(ParameterError, match="unknown config key"):
+        cfg.load_recipe(overrides=[f"{key}=0"])
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = 0\n", encoding="utf-8")
+    with pytest.raises(ParameterError, match="unknown config key"):
+        cfg.load_recipe(config_path=path)
 
 
 def test_parse_config_file_malformed_line(tmp_path):

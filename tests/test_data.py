@@ -155,23 +155,22 @@ def make_manifest(n, num_classes=4):
 
 def test_plain_epoch_is_a_permutation():
     manifest = make_manifest(10)
-    out = dat.batches(manifest, dat.PlainSampler(batch_size=4, seed=0), epoch=0)
+    out = dat.batches(manifest, 4, 0, 0, repeated=False)
     assert [len(b) for b in out] == [4, 4, 2]
     assert sorted(i for b in out for i in b) == list(range(10))
 
 
 def test_plain_epochs_differ_but_replay_identically():
     manifest = make_manifest(32)
-    sampler = dat.PlainSampler(batch_size=8, seed=3)
-    e0 = dat.batches(manifest, sampler, epoch=0)
-    e1 = dat.batches(manifest, sampler, epoch=1)
+    e0 = dat.batches(manifest, 8, 3, 0, repeated=False)
+    e1 = dat.batches(manifest, 8, 3, 1, repeated=False)
     assert e0 != e1
-    assert dat.batches(manifest, sampler, epoch=0) == e0
+    assert dat.batches(manifest, 8, 3, 0, repeated=False) == e0
 
 
 def test_repeated_batch6_m3_two_distinct_each():
     manifest = make_manifest(12)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=1), epoch=0)
+    out = dat.batches(manifest, 6, 1, 0, repeated=True)
     assert len(out) == 6
     for b in out:
         assert len(b) == 6
@@ -184,7 +183,7 @@ def test_repeated_truncates_tail_group():
     # batch 64 at m=3 takes 22 distinct; 22*3=66 trims to 64, so the last
     # distinct index appears only twice
     manifest = make_manifest(256)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=64, seed=2), epoch=0)
+    out = dat.batches(manifest, 64, 2, 0, repeated=True)
     assert len(out) == 11  # floor(256 / 22)
     for b in out:
         assert len(b) == 64
@@ -194,25 +193,24 @@ def test_repeated_truncates_tail_group():
 
 def test_repeated_drops_leftover_samples():
     manifest = make_manifest(5)
-    out = dat.batches(manifest, dat.RepeatedAugSampler(batch_size=6, seed=0), epoch=0)
+    out = dat.batches(manifest, 6, 0, 0, repeated=True)
     assert len(out) == 2
     for b in out:
         assert len(b) == 6
         assert len(set(b)) == 2
 
 
-@pytest.mark.parametrize("sampler_type", [dat.PlainSampler, dat.RepeatedAugSampler])
+@pytest.mark.parametrize("repeated", [False, True], ids=["PlainSampler", "RepeatedAugSampler"])
 @pytest.mark.parametrize("batch_size", [0, -2])
-def test_batches_reject_batch_size_below_one(sampler_type, batch_size):
-    sampler = sampler_type(batch_size=batch_size, seed=0)
+def test_batches_reject_batch_size_below_one(repeated, batch_size):
     with pytest.raises(ParameterError):
-        dat.batches(make_manifest(6), sampler, epoch=0)
+        dat.batches(make_manifest(6), batch_size, 0, 0, repeated)
 
 
 def test_batches_empty_manifest():
     manifest = dat.DatasetManifest(root=None, entries=(), num_classes=1)
     with pytest.raises(ParameterError):
-        dat.batches(manifest, dat.PlainSampler(batch_size=4, seed=0), epoch=0)
+        dat.batches(manifest, 4, 0, 0, repeated=False)
 
 
 # -- synthetic gratings ------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_model_gradient_spot_check():
 
     def loss_value(ps):
         logits = mdl.forward(TINY, ps, x, mode="eval")
-        lp = nm.log_softmax(logits, axis=-1)
+        lp = nm.log_softmax(logits)
         return nm.scale(nm.tensor_sum(nm.mul(lp, Tensor(y, dtype=np.float64))), -0.5)
 
     loss = loss_value(params)

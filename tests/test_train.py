@@ -236,12 +236,13 @@ def test_checkpoint_carries_model_and_state(tmp_path, synth_root):
 
 
 def test_layerscale_flag_off_means_identity_init(tmp_path, synth_root):
-    result = trn.train(
-        toy_recipe(layerscale=False, layerscale_init=1e-4),
-        synth_root, toy_model(), tmp_path / "ls",
-    )
-    config, _, _, _ = trn.load_model(result.checkpoint_path)
-    assert config.layerscale_init == 1.0
+    # LayerScale off is layerscale_init=1.0: the gates start at identity
+    for init in (1e-4, 1.0):
+        result = trn.train(
+            toy_recipe(layerscale_init=init), synth_root, toy_model(), tmp_path / f"ls{init}"
+        )
+        config, _, _, _ = trn.load_model(result.checkpoint_path)
+        assert config.layerscale_init == init
 
 
 def test_abort_on_nonfinite_loss(tmp_path, synth_root, monkeypatch):
@@ -382,10 +383,46 @@ def test_train_and_finetune_apply_the_long_run_rule(tmp_path):
     )
     header = header_record(fin.metrics_path)
     assert float(header["model.drop_path_rate"]) == pytest.approx(0.15)
+    assert header["recipe.drop_path"] == "0.1"  # the base rate, before scaling
     assert header["recipe.weight_decay"] == "0.05"
     # evaluate ran at the finetune's 12 px, not the recipe's eval_resolution=8
     block = trn.load_model(fin.checkpoint_path)[3]
     assert header["recipe.eval_resolution"] == block["recipe.eval_resolution"] == "12"
+
+
+def test_finetune_scales_the_recorded_base_rate_once(tmp_path):
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=1, resolution=8, seed=0), tmp_path / "ds"
+    )
+    recipe = toy_recipe(
+        batch_size=2, epochs=601, train_resolution=8, eval_resolution=8, repeated_aug=False
+    )
+    pre = trn.train(recipe, manifest, toy_model(image_size=8), tmp_path / "pre", eval_every=0)
+    assert trn.load_model(pre.checkpoint_path)[3]["recipe.drop_path"] == "0.0"
+    fin = trn.finetune(pre.checkpoint_path, recipe, manifest, 12, tmp_path / "fin", eval_every=0)
+    header = header_record(fin.metrics_path)
+    # the checkpoint's base 0.0, scaled once for 601 epochs; not its scaled 0.05 again
+    assert (header["model.drop_path_rate"], header["recipe.drop_path"]) == ("0.05", "0.0")
+
+
+@pytest.mark.parametrize(
+    "recorded", [None, "None", "0.5x", "1.5"], ids=["missing", "none", "garbled", "above_one"]
+)
+def test_finetune_rejects_a_bad_recorded_drop_path(tmp_path, synth_root, recorded):
+    pre = trn.train(toy_recipe(epochs=1, warmup_epochs=0), synth_root, toy_model(), tmp_path)
+    block, arrays = ckpt.load_checkpoint(pre.checkpoint_path)
+    if recorded is None:
+        del block["recipe.drop_path"]
+    else:
+        block["recipe.drop_path"] = recorded
+    ckpt.save_checkpoint(pre.checkpoint_path, block, arrays)
+    with pytest.raises(FormatError, match="recipe.drop_path"):
+        trn.finetune(pre.checkpoint_path, toy_recipe(), synth_root, 16, tmp_path / "fin")
+    # an explicit rate needs no recorded one
+    trn.finetune(
+        pre.checkpoint_path, toy_recipe(drop_path=0.1, epochs=1, warmup_epochs=0), synth_root,
+        16, tmp_path / "fin",
+    )
 
 
 def test_header_and_checkpoint_record_the_same_run(tmp_path, synth_root):
