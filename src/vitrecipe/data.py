@@ -237,10 +237,3 @@ def normalize(img: ImageU8) -> np.ndarray:
     x = img.pixels.astype(np.float64) / 255.0
     x = (x - IMAGENET_MEAN) / IMAGENET_STD
     return np.ascontiguousarray(x.transpose(2, 0, 1)).astype(np.float32)
-
-
-def denormalize(chw: np.ndarray) -> ImageU8:
-    """Inverse of normalize, rounding back to bytes."""
-    x = chw.astype(np.float64).transpose(1, 2, 0)
-    x = (x * IMAGENET_STD + IMAGENET_MEAN) * 255.0
-    return ImageU8(np.clip(np.floor(x + 0.5), 0.0, 255.0).astype(np.uint8))

@@ -180,7 +180,7 @@ def init(config: ViTConfig, rng: Rng, dtype=np.float32) -> ViTParams:
 def _attention(x: Tensor, params: ViTParams, prefix: str, num_heads: int) -> Tensor:
     b, t, d = x.shape
     dh = d // num_heads
-    qkv = nm.add(nm.matmul(x, params[prefix + "attn.qkv.weight"]), params[prefix + "attn.qkv.bias"])
+    qkv = nm.matmul(x, params[prefix + "attn.qkv.weight"], params[prefix + "attn.qkv.bias"])
     qkv = nm.reshape(qkv, (b, t, 3, num_heads, dh))
     qkv = nm.transpose(qkv, (2, 0, 3, 1, 4))
     q = nm.reshape(nm.narrow(qkv, 0, 0, 1), (b, num_heads, t, dh))
@@ -190,13 +190,12 @@ def _attention(x: Tensor, params: ViTParams, prefix: str, num_heads: int) -> Ten
     attn = nm.softmax(scores)
     out = nm.matmul(attn, v)
     out = nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (b, t, d))
-    return nm.add(nm.matmul(out, params[prefix + "attn.proj.weight"]), params[prefix + "attn.proj.bias"])
+    return nm.matmul(out, params[prefix + "attn.proj.weight"], params[prefix + "attn.proj.bias"])
 
 
 def _mlp(x: Tensor, params: ViTParams, prefix: str) -> Tensor:
-    h = nm.add(nm.matmul(x, params[prefix + "mlp.fc1.weight"]), params[prefix + "mlp.fc1.bias"])
-    h = nm.gelu(h)
-    return nm.add(nm.matmul(h, params[prefix + "mlp.fc2.weight"]), params[prefix + "mlp.fc2.bias"])
+    h = nm.gelu(nm.matmul(x, params[prefix + "mlp.fc1.weight"], params[prefix + "mlp.fc1.bias"]))
+    return nm.matmul(h, params[prefix + "mlp.fc2.weight"], params[prefix + "mlp.fc2.bias"])
 
 
 def forward(
@@ -239,7 +238,7 @@ def forward(
     x = nm.reshape(images, (b, 3, g, p, g, p))
     x = nm.transpose(x, (0, 2, 4, 3, 5, 1))
     x = nm.reshape(x, (b, n, p * p * 3))
-    x = nm.add(nm.matmul(x, params["patch_embed.weight"]), params["patch_embed.bias"])
+    x = nm.matmul(x, params["patch_embed.weight"], params["patch_embed.bias"])
 
     cls = nm.expand_batch(params["cls_token"], b)
     x = nm.concat([cls, x], axis=1)
@@ -258,7 +257,7 @@ def forward(
 
     x = nm.layernorm(x, params["norm.weight"], params["norm.bias"], LN_EPS)
     cls_out = nm.reshape(nm.narrow(x, 1, 0, 1), (b, config.embed_dim))
-    return nm.add(nm.matmul(cls_out, params["head.weight"]), params["head.bias"])
+    return nm.matmul(cls_out, params["head.weight"], params["head.bias"])
 
 
 # -- positional-embedding resampling -------------------------------------------
@@ -367,3 +366,39 @@ def count_flops(config: ViTConfig, resolution: int) -> int:
     )
     head = d * config.num_classes
     return patch + config.depth * block + head
+
+
+def count_activation_bytes(config: ViTConfig, batch: int, dtype=np.float32) -> Dict[str, int]:
+    """Bytes a tracked train-mode forward keeps for backward, by part.
+
+    Counts each base buffer the tape holds once, parameters and the input
+    images excluded, and the logits included. That is what the backward
+    rules read (after Korthikanti et al., arXiv 2205.05198, §4): matmul
+    operands, layernorm's xhat and 1/σ, softmax's output, GELU's derivative,
+    the branch outputs the LayerScale gates multiply and the drop-path
+    factors. Returns `patch_embed` (the patchified copy), `block` (one
+    block), `head` (final norm, class-token rows and logits) and `total`.
+    """
+    s = np.dtype(dtype).itemsize
+    b, d, h, m = batch, config.embed_dim, config.num_heads, config.mlp_hidden
+    t = config.grid**2 + 1
+    btd = b * t * d
+    drop = 2 * b if config.drop_path_rate > 0.0 else 0
+    block = (
+        2 * (btd + b * t)  # each layernorm: xhat and 1/σ
+        + 2 * btd  # each layernorm's output, read by the matmul after it
+        + 3 * btd  # q·dh^-0.5, kᵀ and v
+        + b * h * t * t  # softmax output
+        + btd  # heads merged, the projection's input
+        + 2 * btd  # attention and MLP branch outputs, read by LayerScale
+        + 2 * b * t * m  # GELU's derivative and output
+        + drop
+    )
+    parts = {
+        "patch_embed": b * 3 * config.image_size**2,
+        "block": block,
+        "head": btd + b * t + b * d + b * config.num_classes,
+    }
+    parts = {k: v * s for k, v in parts.items()}
+    parts["total"] = parts["patch_embed"] + config.depth * parts["block"] + parts["head"]
+    return parts

@@ -24,7 +24,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TapeNode:
-    """One recorded op: the tensors it read and how to push gradients back."""
+    """One recorded op: the graph handles of its inputs and how to push
+    gradients back. A handle is a leaf or untracked input itself, or the
+    data-free vertex of a tracked op's output (see `_make`)."""
 
     __slots__ = ("inputs", "grad_fn", "name")
 
@@ -35,7 +37,7 @@ class TapeNode:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "vertex")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -47,6 +49,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[TapeNode] = None
+        self.vertex: Optional[Tensor] = None
 
     @property
     def shape(self):
@@ -68,12 +71,29 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
 
 
+def _handle(t: Tensor) -> Tensor:
+    """What the tape records for input `t`: its vertex when an op made it
+    under tracking, else `t` itself."""
+    return t if t.vertex is None else t.vertex
+
+
 def _make(out_data, inputs, grad_fn, name) -> Tensor:
+    """Wrap an op's result; under tracking, record it on the tape.
+
+    The node holds the inputs' handles and `grad_fn`, and `grad_fn` holds
+    only the arrays its rule reads. The result gets a vertex: a Tensor with
+    no data that shares its node and stands for it on later nodes. So an
+    intermediate no backward rule reads is freed once the caller drops it,
+    as in an untracked forward."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
-    out.node = TapeNode(inputs, grad_fn, name) if out.requires_grad else None
+    out.node = out.vertex = None
+    if out.requires_grad:
+        out.node = TapeNode(tuple(_handle(t) for t in inputs), grad_fn, name)
+        out.vertex = Tensor(np.empty(0, out_data.dtype), requires_grad=True)
+        out.vertex.node = out.node
     return out
 
 
@@ -110,11 +130,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     broadcast = _trailing_rank1(a, b, "mul")
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
 
     def grad_fn(g):
-        ga = g * b.data
-        gb = g * a.data
+        ga = g * b_data
+        gb = g * a_data
         return ga, _sum_to_rank1(gb) if broadcast else gb
 
     return _make(out, (a, b), grad_fn, "mul")
@@ -131,29 +152,22 @@ def scale(a: Tensor, s: float) -> Tensor:
 # -- matmul ---------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product, plus an optional rank-1 `bias` of shape (n,).
 
     Two layouts: (.., k) @ (k, n) applies one weight matrix to flattened
     leading axes, and (batch.., m, k) @ (batch.., k, n) with equal batch
-    extents multiplies per batch element (attention scores/values).
+    extents multiplies per batch element (attention scores/values). The
+    bias is added in place into the fresh product, so a linear layer is one
+    node with the bits of `add(matmul(a, b), bias)`.
     """
     if a.ndim >= 2 and b.ndim == 2:
         if a.shape[-1] != b.shape[0]:
             raise DimensionError(
                 f"matmul: inner extents {a.shape[-1]} and {b.shape[0]} differ"
             )
-        out = a.data @ b.data
-
-        def grad_fn(g):
-            ga = g @ b.data.T
-            k = a.shape[-1]
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-
-        return _make(out, (a, b), grad_fn, "matmul")
-
-    if a.ndim >= 3 and b.ndim == a.ndim:
+        batched = False
+    elif a.ndim >= 3 and b.ndim == a.ndim:
         if a.shape[:-2] != b.shape[:-2]:
             raise DimensionError(
                 f"matmul: batch extents {a.shape[:-2]} and {b.shape[:-2]} differ"
@@ -162,19 +176,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise DimensionError(
                 f"matmul: inner extents {a.shape[-1]} and {b.shape[-2]} differ"
             )
-        out = a.data @ b.data
+        batched = True
+    else:
+        raise DimensionError(
+            f"matmul: unsupported ranks {a.ndim} and {b.ndim} "
+            "(need (..,k)@(k,n) or equal-rank batched)"
+        )
+    if bias is not None and bias.shape != (b.shape[-1],):
+        raise DimensionError(
+            f"matmul: bias shape {tuple(bias.shape)} is not ({b.shape[-1]},)"
+        )
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
+    has_bias = bias is not None
+    if has_bias:
+        out += bias.data
 
-        def grad_fn(g):
-            ga = g @ b.data.swapaxes(-1, -2)
-            gb = a.data.swapaxes(-1, -2) @ g
-            return ga, gb
+    def grad_fn(g):
+        if batched:
+            ga = g @ b_data.swapaxes(-1, -2)
+            gb = a_data.swapaxes(-1, -2) @ g
+        else:
+            ga = g @ b_data.T
+            gb = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return (ga, gb, _sum_to_rank1(g)) if has_bias else (ga, gb)
 
-        return _make(out, (a, b), grad_fn, "matmul")
-
-    raise DimensionError(
-        f"matmul: unsupported ranks {a.ndim} and {b.ndim} "
-        "(need (..,k)@(k,n) or equal-rank batched)"
-    )
+    return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn, "matmul")
 
 
 # -- shape ops -------------------------------------------------------------
@@ -189,12 +216,14 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 def transpose(a: Tensor, axes: tuple) -> Tensor:
     if len(axes) != a.ndim:
         raise DimensionError(f"transpose: {len(axes)} axes for rank-{a.ndim} tensor")
-    inverse = np.argsort(axes)
+    inverse = tuple(int(i) for i in np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
     return _make(out, (a,), lambda g: (g.transpose(inverse),), "transpose")
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """A copy of `length` entries from `start` along `axis`. Always a copy:
+    a view would keep all of `a` alive wherever a backward rule saves it."""
     if not 0 <= axis < a.ndim:
         raise DimensionError(f"narrow: axis {axis} out of range for rank {a.ndim}")
     if start < 0 or start + length > a.shape[axis]:
@@ -204,10 +233,11 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = np.ascontiguousarray(a.data[index])
+    out = a.data[index].copy()
+    shape, dtype = a.shape, a.dtype
 
     def grad_fn(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[index] = g
         return (full,)
 
@@ -244,10 +274,10 @@ def expand_batch(a: Tensor, batch: int) -> Tensor:
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of every element, as a scalar."""
     out = np.asarray(a.data.sum())
-    shape = a.shape
+    shape, dtype = a.shape, a.dtype
 
     def grad_fn(g):
-        return (np.full(shape, g, dtype=a.data.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _make(out, (a,), grad_fn, "sum")
 
@@ -264,35 +294,49 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
             f"layernorm: gamma/beta must have shape ({d},), "
             f"got {tuple(gamma.shape)} and {tuple(beta.shape)}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # Two full-size arrays: xhat, which backward reads, and the result, which
+    # first holds xc² for the variance. Each pass is the formula's own
+    # operation in its order, written in place, so the bits do not change.
+    x_data, gamma_data, dtype = x.data, gamma.data, x.dtype
+    mu = x_data.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x_data, mu)  # xc
+    out = np.multiply(xhat, xhat)
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(xhat, gamma_data, out=out)
+    np.add(out, beta.data, out=out)
 
     def grad_fn(g):
-        dxhat = g * gamma.data
-        # standard layernorm backward: remove the mean and the xhat-projection
+        # standard layernorm backward: remove the mean and the xhat-projection;
+        # g is never written, since `add` hands one g to both its inputs
+        dxhat = np.multiply(g, gamma_data)
+        tmp = np.multiply(dxhat, xhat)
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xhat * m2)
-        ggamma = _sum_to_rank1(g * xhat)
-        gbeta = _sum_to_rank1(g)
-        return gx.astype(x.data.dtype, copy=False), ggamma, gbeta
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        np.subtract(dxhat, m1, out=dxhat)
+        np.multiply(xhat, m2, out=tmp)
+        np.subtract(dxhat, tmp, out=dxhat)
+        np.multiply(inv, dxhat, out=dxhat)
+        np.multiply(g, xhat, out=tmp)  # last: a rank-1 sum is tmp itself
+        return dxhat.astype(dtype, copy=False), _sum_to_rank1(tmp), _sum_to_rank1(g)
 
-    return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), grad_fn, "layernorm")
+    return _make(out, (x, gamma, beta), grad_fn, "layernorm")
 
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # one full-size array, which each pass rewrites (same bits as out of place)
+    out = np.subtract(x.data, x.data.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
 
     def grad_fn(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        gx = np.multiply(g, out)
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        np.multiply(out, gx, out=gx)
+        return (gx,)
 
     return _make(out, (x,), grad_fn, "softmax")
 
@@ -392,10 +436,11 @@ def _gelu_f32(x: np.ndarray, tracked: bool):
 
 def log_sigmoid(x: Tensor) -> Tensor:
     """log σ(x) = −log(1 + e^(−x)), computed overflow-free."""
-    out = -np.logaddexp(0.0, -x.data)
+    x_data = x.data
+    out = -np.logaddexp(0.0, -x_data)
 
     def grad_fn(g):
-        return (g * expit(-x.data),)
+        return (g * expit(-x_data),)
 
     return _make(out.astype(x.data.dtype, copy=False), (x,), grad_fn, "log_sigmoid")
 
@@ -427,11 +472,12 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ContractError("backward: loss does not depend on any requires_grad tensor")
 
-    # iterative depth-first topological sort (recursion would overflow on
-    # deep tapes)
+    # iterative depth-first topological sort of the graph handles
+    # (recursion would overflow on deep tapes)
+    root = _handle(loss)
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -446,9 +492,7 @@ def backward(loss: Tensor) -> None:
                 if inp.requires_grad and id(inp) not in visited:
                     stack.append((inp, False))
 
-    grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)
-    }
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for t in reversed(topo):
         g = grads.pop(id(t), None)
         if g is None:

@@ -2,8 +2,10 @@
 forward invariants, stochastic-depth statistics, positional-grid
 resampling."""
 
+import importlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,38 @@ def test_flops_increase_with_resolution_params_grow_by_pos_rows():
     ) - mdl.count_params(config)
     extra_rows = mdl.num_patches(384, 16) - mdl.num_patches(224, 16)
     assert delta == extra_rows * config.embed_dim
+
+
+ACCEPTANCE_TOY = ViTConfig(
+    patch_size=4, embed_dim=64, depth=4, num_heads=4, image_size=32, num_classes=4,
+    layerscale_init=1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "config,b,dtype",
+    [
+        (ACCEPTANCE_TOY, 64, np.float32),
+        (replace(ACCEPTANCE_TOY, drop_path_rate=0.1), 64, np.float32),
+        (mdl.preset_config("vit-t", image_size=96, num_classes=8), 2, np.float32),
+        (replace(TINY, drop_path_rate=0.5), 3, np.float64),
+    ],
+    ids=["toy", "toy-drop-path", "vit-t-96", "tiny-f64"],
+)
+def test_activation_bytes_are_what_the_tape_holds(monkeypatch, config, b, dtype):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tape_stats = importlib.import_module("tracer").tape_stats
+    params = mdl.init(config, Rng(3), dtype=dtype)
+    logits = mdl.forward(config, params, batch(b, config, dtype=dtype), mode="train", rng=Rng(4))
+    _, held = tape_stats(logits)
+    # backward reads every weight matrix, norm gain and LayerScale vector,
+    # and no bias or embedding
+    read = [p for name, p in params.items() if name.endswith((".weight", ".ls1", ".ls2"))]
+    expected = mdl.count_activation_bytes(config, b, dtype)
+    assert held - sum(p.data.nbytes for p in read) == expected["total"]
+    assert expected["total"] == (
+        expected["patch_embed"] + config.depth * expected["block"] + expected["head"]
+    )
 
 
 def test_token_counts_160_vs_224():

@@ -1,7 +1,9 @@
 """Tensor-op oracles: hand arithmetic, closed forms, and central finite
 differences (h=1e-5, f64) for every differentiable op at ranks 1-4."""
 
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +237,40 @@ def test_matmul_gradients_flattened_and_batched():
     check_gradients(nm.matmul, [randn(2, 2, 3, 4, seed=22), randn(2, 2, 4, 2, seed=23)])
 
 
+def test_matmul_bias_gradients():
+    check_gradients(
+        lambda a, b, c: nm.matmul(a, b, c),
+        [randn(2, 3, 4, seed=46), randn(4, 5, seed=47), randn(5, seed=48)],
+    )
+    check_gradients(
+        lambda a, b, c: nm.matmul(a, b, c),
+        [randn(2, 3, 4, seed=49), randn(2, 4, 3, seed=50), randn(3, seed=51)],
+    )
+
+
+def _grads_f32(build, arrays, probe):
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*ts)
+    nm.backward(nm.tensor_sum(nm.mul(out, Tensor(probe))))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+@pytest.mark.parametrize("b_shape", [(8, 6), (3, 8, 6)], ids=["flattened", "batched"])
+def test_matmul_bias_bits_equal_add_after_matmul_f32(b_shape):
+    arrays = [randn(3, 5, 8, seed=52), randn(*b_shape, seed=53), randn(6, seed=54)]
+    probe = randn(3, 5, 6, seed=55)
+    fused = _grads_f32(lambda a, b, c: nm.matmul(a, b, c), arrays, probe)
+    composed = _grads_f32(lambda a, b, c: nm.add(nm.matmul(a, b), c), arrays, probe)
+    assert fused == composed
+
+
+def test_matmul_rejects_a_bias_that_is_not_rank1_over_n():
+    a, w = Tensor(randn(2, 3, seed=56)), Tensor(randn(3, 4, seed=57))
+    for shape in [(3,), (5,), (1, 4), (2, 4)]:
+        with pytest.raises(DimensionError):
+            nm.matmul(a, w, Tensor(randn(*shape, seed=58)))
+
+
 def test_layernorm_gradients():
     for shape in [(6,), (3, 6), (2, 3, 6), (2, 2, 2, 6)]:
         check_gradients(
@@ -263,7 +299,101 @@ def test_drop_path_scale_gradient_and_forward():
     check_gradients(lambda t: nm.drop_path_scale(t, mask, 2.0), [x])
 
 
+# -- in-place layernorm and softmax against their out-of-place formulas ------
+
+
+def layernorm_reference(x, gamma, beta, eps, g):
+    """The out-of-place formulas the op writes in place, in the same order."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gamma + beta
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (dxhat - m1 - xhat * m2)
+    g2 = g.reshape(-1, g.shape[-1])
+    return out, (gx, (g * xhat).reshape(g2.shape).sum(axis=0), g2.sum(axis=0))
+
+
+def softmax_reference(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return out, (out * (g - inner),)
+
+
+def f32(*shape, seed):
+    return (randn(*shape, seed=seed) * 3.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 7, 33), (2, 3, 65, 64)])
+def test_layernorm_and_softmax_bits_equal_reference_f32(shape):
+    x, g = f32(*shape, seed=59), f32(*shape, seed=60)
+    gamma, beta = f32(shape[-1], seed=61), f32(shape[-1], seed=62)
+    g_before = g.copy()
+    for op, reference in [
+        (lambda: nm.layernorm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                              Tensor(beta, requires_grad=True), 1e-6),
+         lambda: layernorm_reference(x, gamma, beta, np.float32(1e-6), g)),
+        (lambda: nm.softmax(Tensor(x, requires_grad=True)), lambda: softmax_reference(x, g)),
+    ]:
+        out = op()
+        grads = out.node.grad_fn(g)
+        ref_out, ref_grads = reference()
+        assert out.data.dtype == np.float32 and out.data.tobytes() == ref_out.tobytes()
+        assert [a.tobytes() for a in grads] == [a.tobytes() for a in ref_grads]
+        assert all(a.dtype == np.float32 for a in grads)
+        assert g.tobytes() == g_before.tobytes()  # add hands one g to two inputs
+
+
+def _peak_full_arrays(fn, full_bytes):
+    """Peak bytes allocated while `fn` runs, result included, in full-size arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - base) / full_bytes
+
+
+def test_layernorm_and_softmax_allocate_at_most_two_full_arrays():
+    # layernorm keeps xhat and its result, softmax only its result; the row
+    # statistics (1/64 each) and numpy's fixed buffers stay under 0.25
+    shape = (32, 65, 64)
+    x, g, gamma, beta = (Tensor(f32(*s, seed=63), requires_grad=True)
+                         for s in (shape, shape, (64,), (64,)))
+    full = x.data.nbytes
+    ln = nm.layernorm(x, gamma, beta)
+    assert _peak_full_arrays(lambda: nm.layernorm(x, gamma, beta), full) < 2.25
+    assert _peak_full_arrays(lambda: ln.node.grad_fn(g.data), full) < 2.25
+    sm = nm.softmax(x)
+    assert _peak_full_arrays(lambda: nm.softmax(x), full) < 1.25
+    assert _peak_full_arrays(lambda: sm.node.grad_fn(g.data), full) < 1.25
+
+
 # -- tape behaviour ----------------------------------------------------------
+
+
+def test_tape_frees_what_no_backward_rule_reads():
+    w = Tensor(randn(3, 4, seed=64), requires_grad=True, dtype=np.float64)
+    h = nm.add(w, w)  # add's backward reads nothing
+    freed = weakref.ref(h.data)
+    s = nm.scale(h, 3.0)
+    kept = weakref.ref(s.data)  # mul reads it
+    out = nm.mul(s, w)
+    del h, s
+    assert freed() is None and kept() is not None
+    assert all(t.data.size == 0 for t in out.node.inputs if t.node is not None)
+    nm.backward(nm.tensor_sum(out))
+    np.testing.assert_allclose(w.grad, 12.0 * w.data, rtol=1e-12)
+
 
 
 def test_duplicated_input_accumulates_both_paths():

@@ -158,6 +158,15 @@ def test_train_same_seed_bit_identical(tmp_path, synth_root):
     a = trn.train(recipe, synth_root, toy_model(), tmp_path / "a")
     b = trn.train(recipe, synth_root, toy_model(), tmp_path / "b")
     assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
+
+    def without_wall_seconds(result):
+        lines = result.metrics_path.read_text().splitlines()
+        header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        wall = lines[header_at].split(",").index("wall_seconds")
+        rows = [ln.split(",") for ln in lines[header_at:]]
+        return lines[:header_at] + [",".join(r[:wall] + r[wall + 1 :]) for r in rows]
+
+    assert without_wall_seconds(a) == without_wall_seconds(b)
     c = trn.train(replace(recipe, seed=99), synth_root, toy_model(), tmp_path / "c")
     assert a.checkpoint_path.read_bytes() != c.checkpoint_path.read_bytes()
 
