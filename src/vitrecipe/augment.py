@@ -182,7 +182,8 @@ def color_jitter(
 
 
 def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
-    """As three_augment, also reporting which branch fired (0 gray,
+    """3-Augment: one of grayscale, solarize and blur, then color jitter and
+    the horizontal flip. Returns the image and the branch that fired (0 gray,
     1 solarize, 2 blur).
 
     Draw order is part of the contract: branch u; blur sigma (blur branch
@@ -201,10 +202,6 @@ def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
     if rng.uniform() < policy.hflip_prob:
         out = hflip(out)
     return out, branch
-
-
-def three_augment(img: ImageU8, policy: AugmentPolicy, rng: Rng) -> ImageU8:
-    return three_augment_traced(img, policy, rng)[0]
 
 
 def random_resized_crop(

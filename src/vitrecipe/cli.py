@@ -12,7 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import augment as aug
 from . import data as dat
 from . import model as mdl
 from . import optim as opt
@@ -57,9 +56,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    recipe = _recipe_from_args(args)
+    recipe = replace(_recipe_from_args(args), train_resolution=args.resolution)
     manifest = dat.load_manifest(args.data)
-    result = trn.finetune(args.checkpoint, recipe, manifest, args.resolution, args.out)
+    result = trn.finetune(args.checkpoint, recipe, manifest, args.out)
     print(f"pos_grid: {result.pos_grid[0]}x{result.pos_grid[1]}")
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics: {result.metrics_path}")
@@ -86,8 +85,9 @@ def _cmd_augment_preview(args) -> int:
     for i in range(count):
         img = dat.load_image(manifest.image_path(i))
         rng = Rng(dat.per_sample_seed(recipe.seed, 0, i))
-        out, branch = aug.three_augment_traced(trn.train_crop(img, policy, rng), policy, rng)
-        name = f"sample{i:04d}_seed{recipe.seed:016x}_branch{branch}.img1"
+        out, branch = trn.augment_train_sample_traced(img, policy, recipe.three_augment, rng)
+        suffix = "" if branch is None else f"_branch{branch}"
+        name = f"sample{i:04d}_seed{recipe.seed:016x}{suffix}.img1"
         dat.save_image(out, out_dir / name)
         print(name)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
@@ -34,9 +34,9 @@ class ViTConfig:
     num_heads: int
     image_size: int
     num_classes: int
-    mlp_ratio: float = 4.0
     drop_path_rate: float = 0.0
     layerscale_init: float = 1e-4
+    mlp_ratio: ClassVar[float] = 4.0  # MLP width over embed_dim, the same at every size
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:

@@ -1,10 +1,11 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
 Supports exactly the operations the transformer and its losses need.
-Broadcasting is deliberately restricted: elementwise ops accept either
-identical shapes or a rank-1 right operand matching the trailing axis
-(bias add, per-channel scaling). Anything richer has a dedicated op
-(`expand_batch`, `drop_path_scale`) with an explicit backward rule.
+Broadcasting is deliberately restricted: elementwise ops take identical
+shapes, and `mul` also takes a rank-1 right operand matching the trailing
+axis (per-channel scaling). Anything richer has a dedicated op
+(`expand_batch`, `drop_path_scale`, the bias of `matmul`) with an explicit
+backward rule.
 
 f32 is the training dtype; gradient checks run everything at f64.
 """
@@ -97,18 +98,6 @@ def _make(out_data, inputs, grad_fn, name) -> Tensor:
     return out
 
 
-def _trailing_rank1(a: Tensor, b: Tensor, opname: str) -> bool:
-    """True when b is rank-1 against a's last axis; raises on anything else."""
-    if a.shape == b.shape:
-        return False
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        return True
-    raise DimensionError(
-        f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} are neither "
-        "identical nor (nd, trailing rank-1)"
-    )
-
-
 def _sum_to_rank1(g: np.ndarray) -> np.ndarray:
     if g.ndim == 1:
         return g
@@ -119,17 +108,18 @@ def _sum_to_rank1(g: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _trailing_rank1(a, b, "add")
-    out = a.data + b.data
-
-    def grad_fn(g):
-        return g, _sum_to_rank1(g) if broadcast else g
-
-    return _make(out, (a, b), grad_fn, "add")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _trailing_rank1(a, b, "mul")
+    broadcast = a.shape != b.shape  # then b must be rank-1 against a's last axis
+    if broadcast and not (b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]):
+        raise DimensionError(
+            f"mul: shapes {tuple(a.shape)} and {tuple(b.shape)} are neither "
+            "identical nor (nd, trailing rank-1)"
+        )
     a_data, b_data = a.data, b.data
     out = a_data * b_data
 
@@ -159,7 +149,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     leading axes, and (batch.., m, k) @ (batch.., k, n) with equal batch
     extents multiplies per batch element (attention scores/values). The
     bias is added in place into the fresh product, so a linear layer is one
-    node with the bits of `add(matmul(a, b), bias)`.
+    node with the bits of `matmul(a, b) + bias` and its column-sum gradient.
     """
     if a.ndim >= 2 and b.ndim == 2:
         if a.shape[-1] != b.shape[0]:

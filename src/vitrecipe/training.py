@@ -55,36 +55,25 @@ def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
     )
 
 
-def train_crop(img: aug.ImageU8, policy: aug.AugmentPolicy, rng: Rng) -> aug.ImageU8:
-    """Geometric crop to the train resolution, RRC or SRC by the policy."""
+def augment_train_sample_traced(
+    img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
+) -> Tuple[aug.ImageU8, Optional[int]]:
+    """Geometric crop to the train resolution (RRC or SRC by the policy), then
+    the photometric stack (which also owns the horizontal flip); also the
+    3-Augment branch that fired, None with 3-Augment off."""
     crop = aug.random_resized_crop if policy.crop_mode == "rrc" else aug.simple_random_crop
-    return crop(img, policy.train_resolution, rng)
+    out = crop(img, policy.train_resolution, rng)
+    if use_three_augment:
+        return aug.three_augment_traced(out, policy, rng)
+    if rng.uniform() < policy.hflip_prob:
+        out = aug.hflip(out)
+    return out, None
 
 
 def augment_train_sample(
     img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
 ) -> aug.ImageU8:
-    """Geometric crop to the train resolution, then the photometric stack
-    (which also owns the horizontal flip)."""
-    out = train_crop(img, policy, rng)
-    if use_three_augment:
-        return aug.three_augment(out, policy, rng)
-    if rng.uniform() < policy.hflip_prob:
-        out = aug.hflip(out)
-    return out
-
-
-class _ImageCache:
-    """Decoded-image cache; datasets here are desk-scale, so unbounded."""
-
-    def __init__(self, manifest: dat.DatasetManifest):
-        self.manifest = manifest
-        self._images: Dict[int, aug.ImageU8] = {}
-
-    def image(self, index: int) -> aug.ImageU8:
-        if index not in self._images:
-            self._images[index] = dat.load_image(self.manifest.image_path(index))
-        return self._images[index]
+    return augment_train_sample_traced(img, policy, use_three_augment, rng)[0]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -94,7 +83,8 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _assemble_batch(
-    cache: _ImageCache,
+    manifest: dat.DatasetManifest,
+    decoded: Dict[int, aug.ImageU8],
     indices,
     recipe: RecipeConfig,
     policy: aug.AugmentPolicy,
@@ -103,7 +93,8 @@ def _assemble_batch(
     """Augmented, standardized (B, 3, R, R) batch plus one-hot targets.
 
     Repeated occurrences of an index inside one batch get their own
-    sub-seed, so the three repeated-aug copies differ."""
+    sub-seed, so the three repeated-aug copies differ. Decoded images are
+    kept in `decoded`; datasets here are desk-scale, so unbounded."""
     images = np.empty(
         (len(indices), 3, recipe.train_resolution, recipe.train_resolution), dtype=np.float32
     )
@@ -115,12 +106,12 @@ def _assemble_batch(
         seed = dat.per_sample_seed(recipe.seed, epoch, idx)
         if recipe.repeated_aug:
             seed = dat.repeat_seed(seed, occurrence)
-        out = augment_train_sample(
-            cache.image(idx), policy, recipe.three_augment, Rng(seed)
-        )
+        if idx not in decoded:
+            decoded[idx] = dat.load_image(manifest.image_path(idx))
+        out = augment_train_sample(decoded[idx], policy, recipe.three_augment, Rng(seed))
         images[row] = dat.normalize(out)
-        labels[row] = cache.manifest.label(idx)
-    return images, one_hot(labels, cache.manifest.num_classes)
+        labels[row] = manifest.label(idx)
+    return images, one_hot(labels, manifest.num_classes)
 
 
 def _apply_mix(images, targets, policy: aug.AugmentPolicy, rng: Rng):
@@ -145,14 +136,14 @@ def resolve_run(
 ) -> Tuple[mdl.ViTConfig, RecipeConfig]:
     """The effective (model, recipe) of a run, resolved in this one place.
 
-    `base` is the model as built: a preset or explicit config at the train
-    resolution, or a loaded checkpoint at the new resolution. An explicit
-    `recipe.drop_path` replaces its drop-path rate, then the long-run rule
-    scales drop path and weight decay from the epoch budget. The returned
-    recipe carries the unscaled drop-path rate and the scaled weight decay,
-    and agrees with the model on the train and eval resolutions (`evaluate`
-    runs at the model's `image_size`) and the LayerScale init, so `run_record`
-    of the pair describes the run as it was trained and evaluated."""
+    `base` is the model as built at `recipe.train_resolution`: a preset or
+    explicit config, or a loaded checkpoint. An explicit `recipe.drop_path`
+    replaces its drop-path rate, then the long-run rule scales drop path and
+    weight decay from the epoch budget. The returned recipe carries the
+    unscaled drop-path rate and the scaled weight decay, and agrees with the
+    model on the eval resolution (`evaluate` runs at the model's
+    `image_size`) and the LayerScale init, so `run_record` of the pair
+    describes the run as it was trained and evaluated."""
     base_drop_path = base.drop_path_rate if recipe.drop_path is None else recipe.drop_path
     drop_path, weight_decay = opt.scale_regularization(
         base_drop_path, recipe.weight_decay, recipe.epochs
@@ -162,7 +153,6 @@ def resolve_run(
         recipe,
         drop_path=base_drop_path,
         weight_decay=weight_decay,
-        train_resolution=config.image_size,
         eval_resolution=config.image_size,
         layerscale_init=config.layerscale_init,
     )
@@ -250,7 +240,7 @@ def _run_training(
     )
     policy = policy_from_recipe(recipe)
     state = opt.init_lamb_state(params)
-    cache = _ImageCache(manifest)
+    decoded: Dict[int, aug.ImageU8] = {}
     eval_cache: Dict[int, np.ndarray] = {}
     val_cache: Dict[int, np.ndarray] = {}
     record = run_record(config, recipe)
@@ -270,7 +260,7 @@ def _run_training(
             )
             for step, indices in enumerate(epoch_batches):
                 lr = opt.cosine_lr(schedule, global_step)
-                images, targets = _assemble_batch(cache, indices, recipe, policy, epoch)
+                images, targets = _assemble_batch(manifest, decoded, indices, recipe, policy, epoch)
                 mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
                 images, targets = _apply_mix(images, targets, policy, mix_rng)
                 drop_rng = Rng(derive_seed(recipe.seed, dat.TAG_DROP, epoch, step))
@@ -338,6 +328,11 @@ def config_from_block(block: Dict[str, str]) -> mdl.ViTConfig:
             raise FormatError(f"checkpoint config block missing {key!r}") from None
         except ValueError as exc:
             raise FormatError(f"checkpoint config block: malformed {key}={block[key]!r}") from exc
+    # blocks written while the MLP ratio was a field record it; it must be the fixed one
+    fixed = str(mdl.ViTConfig.mlp_ratio)
+    if block.get("model.mlp_ratio", fixed) != fixed:
+        raise FormatError(f"checkpoint config block: model.mlp_ratio={block['model.mlp_ratio']!r}, "
+                          f"the model fixes {fixed}")
     return mdl.ViTConfig(**values)
 
 
@@ -377,16 +372,15 @@ def finetune(
     checkpoint_path,
     recipe: RecipeConfig,
     manifest: dat.DatasetManifest,
-    new_resolution: int,
     out_dir,
     val_manifest: Optional[dat.DatasetManifest] = None,
     eval_every: int = 1,
 ) -> TrainResult:
-    """Resume from a checkpoint at a new resolution: the positional grid
-    is bicubically resampled, the optimizer starts fresh, and training
-    proceeds under the given recipe at new_resolution. With no
-    `recipe.drop_path`, the base rate is the checkpoint's recorded
-    `recipe.drop_path`, which the long-run rule then scales for this run."""
+    """Resume from a checkpoint at `recipe.train_resolution`: the positional
+    grid is bicubically resampled, the optimizer starts fresh, and training
+    proceeds under the given recipe. With no `recipe.drop_path`, the base
+    rate is the checkpoint's recorded `recipe.drop_path`, which the
+    long-run rule then scales for this run."""
     loaded_config, params, _, block = load_model(checkpoint_path)
     if manifest.num_classes != loaded_config.num_classes:
         raise FormatError(
@@ -401,8 +395,8 @@ def finetune(
             raise FormatError(
                 f"checkpoint config block: missing or malformed recipe.drop_path={text!r}"
             ) from exc
-    params = mdl.interpolate_pos_embed(params, new_resolution, loaded_config.patch_size)
-    config, recipe = resolve_run(recipe, replace(loaded_config, image_size=new_resolution))
+    params = mdl.interpolate_pos_embed(params, recipe.train_resolution, loaded_config.patch_size)
+    config, recipe = resolve_run(recipe, replace(loaded_config, image_size=recipe.train_resolution))
     grids = f"{loaded_config.grid}x{loaded_config.grid}->{config.grid}x{config.grid}"
     return _run_training(
         recipe,

@@ -402,7 +402,7 @@ def test_criterion_09_fixres_pipeline(tmp_path_factory, toy_manifest, bce_run):
         seed=5, loss="bce",
     )
     out = tmp_path_factory.mktemp("toy") / "ft48"
-    fin = trn.finetune(result_bce.checkpoint_path, ft_recipe, toy_manifest, 48, out)
+    fin = trn.finetune(result_bce.checkpoint_path, ft_recipe, toy_manifest, out)
     first_epoch_losses = [
         float(line.split(",")[3])
         for line in fin.metrics_path.read_text().splitlines()

@@ -166,22 +166,30 @@ def test_augment_preview_writes_img1(dataset, tmp_path, capsys):
         assert "_branch" in f.name and f.name.split("_branch")[1][0] in "012"
 
 
-@pytest.mark.parametrize("crop_mode", ["rrc", "src"])
-def test_augment_preview_matches_train_augmentation(dataset, tmp_path, crop_mode):
+@pytest.mark.parametrize(
+    "overrides",
+    [["crop_mode=rrc"], ["crop_mode=src"], ["three_augment=false"]],
+    ids=["rrc", "src", "no_three_augment"],
+)
+def test_augment_preview_matches_train_augmentation(dataset, tmp_path, overrides):
     out = tmp_path / "aug"
-    overrides = ["train_resolution=16", f"crop_mode={crop_mode}"]
+    overrides = ["train_resolution=16"] + overrides
     code = cli.main(
         ["augment-preview", "--data", str(dataset), "--out", str(out), "--count", "4",
          "--seed", "9"] + [arg for o in overrides for arg in ("--override", o)]
     )
     assert code == 0
     manifest = dat.load_manifest(dataset)
-    policy = trn.policy_from_recipe(cfg.load_recipe(overrides=overrides))
+    recipe = cfg.load_recipe(overrides=overrides)
+    policy = trn.policy_from_recipe(recipe)
     files = sorted(out.glob("*.img1"))
     assert len(files) == 4
     for i, f in enumerate(files):
+        assert ("_branch" in f.name) == recipe.three_augment
         img = dat.load_image(manifest.image_path(i))
-        expected = trn.augment_train_sample(img, policy, True, Rng(dat.per_sample_seed(9, 0, i)))
+        expected = trn.augment_train_sample(
+            img, policy, recipe.three_augment, Rng(dat.per_sample_seed(9, 0, i))
+        )
         np.testing.assert_array_equal(dat.load_image(f).pixels, expected.pixels)
 
 

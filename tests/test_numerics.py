@@ -226,7 +226,6 @@ def test_add_mul_same_shape_gradients(shape):
 @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (2, 2, 3, 4)],
                          ids=["r1", "r2", "r3", "r4"])
 def test_add_mul_trailing_bias_gradients(shape):
-    check_gradients(nm.add, [randn(*shape, seed=12), randn(4, seed=13)])
     check_gradients(nm.mul, [randn(*shape, seed=14), randn(4, seed=15)])
 
 
@@ -255,12 +254,17 @@ def _grads_f32(build, arrays, probe):
     return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
 
 
+def _add_bias(x, c):
+    """The trailing rank-1 add that `nm.add` did before it took only equal shapes."""
+    return nm._make(x.data + c.data, (x, c), lambda g: (g, nm._sum_to_rank1(g)), "add")
+
+
 @pytest.mark.parametrize("b_shape", [(8, 6), (3, 8, 6)], ids=["flattened", "batched"])
 def test_matmul_bias_bits_equal_add_after_matmul_f32(b_shape):
     arrays = [randn(3, 5, 8, seed=52), randn(*b_shape, seed=53), randn(6, seed=54)]
     probe = randn(3, 5, 6, seed=55)
     fused = _grads_f32(lambda a, b, c: nm.matmul(a, b, c), arrays, probe)
-    composed = _grads_f32(lambda a, b, c: nm.add(nm.matmul(a, b), c), arrays, probe)
+    composed = _grads_f32(lambda a, b, c: _add_bias(nm.matmul(a, b), c), arrays, probe)
     assert fused == composed
 
 
@@ -458,6 +462,8 @@ def test_broadcasting_is_restricted():
         nm.add(a, Tensor(randn(3, seed=41)))  # leading, not trailing
     with pytest.raises(DimensionError):
         nm.add(a, Tensor(randn(3, 1, seed=42)))  # rank-2 broadcast
+    with pytest.raises(DimensionError):
+        nm.add(a, Tensor(randn(4, seed=43)))  # trailing rank-1: only mul takes it
 
 
 def test_layernorm_rejects_mismatched_affine():

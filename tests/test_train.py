@@ -387,8 +387,8 @@ def test_train_and_finetune_apply_the_long_run_rule(tmp_path):
     assert header["model.drop_path_rate"] == "0.05"  # 0.0 + 0.05 per 200 epochs past 400
     assert header["recipe.weight_decay"] == "0.05"  # pinned, from 0.02
     fin = trn.finetune(
-        pre.checkpoint_path, replace(recipe, drop_path=0.1, weight_decay=0.1), manifest, 12,
-        tmp_path / "fin", eval_every=0,
+        pre.checkpoint_path, replace(recipe, drop_path=0.1, weight_decay=0.1, train_resolution=12),
+        manifest, tmp_path / "fin", eval_every=0,
     )
     header = header_record(fin.metrics_path)
     assert float(header["model.drop_path_rate"]) == pytest.approx(0.15)
@@ -408,7 +408,10 @@ def test_finetune_scales_the_recorded_base_rate_once(tmp_path):
     )
     pre = trn.train(recipe, manifest, toy_model(image_size=8), tmp_path / "pre", eval_every=0)
     assert trn.load_model(pre.checkpoint_path)[3]["recipe.drop_path"] == "0.0"
-    fin = trn.finetune(pre.checkpoint_path, recipe, manifest, 12, tmp_path / "fin", eval_every=0)
+    fin = trn.finetune(
+        pre.checkpoint_path, replace(recipe, train_resolution=12), manifest, tmp_path / "fin",
+        eval_every=0,
+    )
     header = header_record(fin.metrics_path)
     # the checkpoint's base 0.0, scaled once for 601 epochs; not its scaled 0.05 again
     assert (header["model.drop_path_rate"], header["recipe.drop_path"]) == ("0.05", "0.0")
@@ -426,20 +429,21 @@ def test_finetune_rejects_a_bad_recorded_drop_path(tmp_path, synth_root, recorde
         block["recipe.drop_path"] = recorded
     ckpt.save_checkpoint(pre.checkpoint_path, block, arrays)
     with pytest.raises(FormatError, match="recipe.drop_path"):
-        trn.finetune(pre.checkpoint_path, toy_recipe(), synth_root, 16, tmp_path / "fin")
+        trn.finetune(pre.checkpoint_path, toy_recipe(), synth_root, tmp_path / "fin")
     # an explicit rate needs no recorded one
     trn.finetune(
         pre.checkpoint_path, toy_recipe(drop_path=0.1, epochs=1, warmup_epochs=0), synth_root,
-        16, tmp_path / "fin",
+        tmp_path / "fin",
     )
 
 
 def test_header_and_checkpoint_record_the_same_run(tmp_path, synth_root):
     pre = trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "pre")
     recipe = replace(
-        cfg.preset("fixres_finetune"), batch_size=8, epochs=2, seed=4, drop_path=0.1
+        cfg.preset("fixres_finetune"), batch_size=8, epochs=2, train_resolution=24, seed=4,
+        drop_path=0.1,
     )
-    fin = trn.finetune(pre.checkpoint_path, recipe, synth_root, 24, tmp_path / "fin")
+    fin = trn.finetune(pre.checkpoint_path, recipe, synth_root, tmp_path / "fin")
     for result in (pre, fin):
         config, _, _, block = trn.load_model(result.checkpoint_path)
         header = header_record(result.metrics_path)
@@ -465,7 +469,7 @@ def test_finetune_regrids_positions(tmp_path, synth_root):
         batch_size=8, epochs=2, train_resolution=24, eval_resolution=24,
         seed=4, layerscale_init=1.0,
     )
-    fin = trn.finetune(pre.checkpoint_path, recipe, synth_root, 24, tmp_path / "fin")
+    fin = trn.finetune(pre.checkpoint_path, recipe, synth_root, tmp_path / "fin")
     assert fin.pos_grid == (6, 6)
     header = fin.metrics_path.read_text()
     assert "pos_grid=4x4->6x6" in header
@@ -486,16 +490,39 @@ def test_finetune_rejects_class_mismatch(tmp_path, synth_root):
     other = dat.synth_dataset(
         dat.SynthSpec(num_classes=3, per_class=2, resolution=16, seed=0), other_root
     )
-    recipe = replace(cfg.preset("fixres_finetune"), batch_size=4, epochs=1)
+    recipe = replace(cfg.preset("fixres_finetune"), batch_size=4, epochs=1, train_resolution=16)
     with pytest.raises(FormatError):
-        trn.finetune(pre.checkpoint_path, recipe, other, 16, tmp_path / "f2")
+        trn.finetune(pre.checkpoint_path, recipe, other, tmp_path / "f2")
 
 
 def test_finetune_rejects_indivisible_resolution(tmp_path, synth_root):
     pre = trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "p3")
-    recipe = replace(cfg.preset("fixres_finetune"), batch_size=8, epochs=1)
+    recipe = replace(cfg.preset("fixres_finetune"), batch_size=8, epochs=1, train_resolution=18)
     with pytest.raises(ParameterError):
-        trn.finetune(pre.checkpoint_path, recipe, synth_root, 18, tmp_path / "f3")
+        trn.finetune(pre.checkpoint_path, recipe, synth_root, tmp_path / "f3")
+
+
+def test_a_checkpoint_recording_the_mlp_ratio_loads_and_finetunes(tmp_path, synth_root):
+    # every checkpoint written while the MLP ratio was a ViTConfig field records it
+    recipe = toy_recipe(epochs=1, warmup_epochs=0)
+    pre = trn.train(recipe, synth_root, toy_model(), tmp_path / "pre")
+    block, arrays = ckpt.load_checkpoint(pre.checkpoint_path)
+    assert "model.mlp_ratio" not in block
+    old_style = {}
+    for key, value in block.items():
+        old_style[key] = value
+        if key == "model.num_classes":  # where the field stood
+            old_style["model.mlp_ratio"] = "4.0"
+    ckpt.save_checkpoint(pre.checkpoint_path, old_style, arrays)
+    assert trn.load_model(pre.checkpoint_path)[0] == trn.config_from_block(block)
+    fin = trn.finetune(pre.checkpoint_path, replace(recipe, train_resolution=24), synth_root,
+                       tmp_path / "fin")
+    config, _, _, fin_block = trn.load_model(fin.checkpoint_path)
+    assert config.mlp_hidden == 4 * config.embed_dim and "model.mlp_ratio" not in fin_block
+    # another ratio is another model, which this code cannot build
+    ckpt.save_checkpoint(pre.checkpoint_path, {**old_style, "model.mlp_ratio": "2.0"}, arrays)
+    with pytest.raises(FormatError, match="mlp_ratio"):
+        trn.load_model(pre.checkpoint_path)
 
 
 def test_train_too_small_dataset_for_sampler(tmp_path):
