@@ -9,10 +9,17 @@ Metrics go to a CSV ("epoch,step,lr,train_loss,train_acc,val_acc,
 wall_seconds"). The effective run, as `resolve_run` returns it, is recorded
 once by `run_record`: as '#' comment lines above the CSV header and as the
 checkpoint's config block. A non-finite loss aborts the run naming the step.
+
+One loader process per run builds the batches, one step ahead of the
+optimizer; every batch is a pure function of (seed, epoch, step), so the
+bytes are those of the single-process stream.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing as mp
+import signal
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -125,6 +132,65 @@ def _apply_mix(images, targets, policy: aug.AugmentPolicy, rng: Rng):
     return aug.cutmix(images, partner_images, targets, partner_targets, policy.cutmix_alpha, rng)
 
 
+def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
+    """The loader process: every step's mixed (images, targets), in (epoch,
+    step) order, sent to the trainer; an exception is sent in their place.
+
+    A blocking `send` holds at most one finished batch, so the loader runs
+    one step ahead. It closes its copy of the trainer's end, so a trainer
+    that dies fails the `send` instead of leaving it blocked, and ignores
+    SIGINT: the trainer ends this process on every exit path."""
+    receiver.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    policy = policy_from_recipe(recipe)
+    decoded: Dict[int, aug.ImageU8] = {}
+    try:
+        for epoch in range(recipe.epochs):
+            epoch_batches = dat.batches(
+                manifest, recipe.batch_size, recipe.seed, epoch, recipe.repeated_aug
+            )
+            for step, indices in enumerate(epoch_batches):
+                images, targets = _assemble_batch(manifest, decoded, indices, recipe, policy, epoch)
+                mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
+                sender.send(_apply_mix(images, targets, policy, mix_rng))
+    except Exception as exc:
+        sender.send(exc)
+
+
+@contextlib.contextmanager
+def _batch_loader(manifest, recipe: RecipeConfig):
+    """Start the loader process and yield `receive(epoch, step)`, which
+    returns that step's batch or raises there what stopped the loader. The
+    process is ended on every exit path."""
+    receiver, sender = mp.Pipe(duplex=False)
+    loader = mp.Process(
+        target=_load_batches, args=(sender, receiver, manifest, recipe),
+        name="vitrecipe-loader",
+    )
+    loader.start()
+    sender.close()  # else a loader that dies leaves `recv` waiting on this copy
+
+    def receive(epoch: int, step: int):
+        try:
+            item = receiver.recv()
+        except EOFError:
+            loader.join()
+            raise ContractError(
+                f"the batch loader exited with code {loader.exitcode} before sending "
+                f"epoch {epoch} step {step}"
+            ) from None
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    try:
+        yield receive
+    finally:
+        loader.terminate()
+        loader.join()
+        receiver.close()
+
+
 def _loss_fn(recipe: RecipeConfig, logits: Tensor, targets: np.ndarray) -> Tensor:
     if recipe.loss == "bce":
         return opt.bce_loss(logits, targets)
@@ -166,6 +232,15 @@ def run_record(config: mdl.ViTConfig, recipe: RecipeConfig) -> Dict[str, object]
     return record
 
 
+def _check_eval_manifest(config: mdl.ViTConfig, manifest: dat.DatasetManifest) -> None:
+    if manifest.num_classes != config.num_classes:
+        raise ContractError(
+            f"dataset has {manifest.num_classes} classes, model expects {config.num_classes}"
+        )
+    if len(manifest) == 0:
+        raise ContractError("evaluate: the manifest has no entries")
+
+
 def evaluate(
     config: mdl.ViTConfig,
     params: mdl.ViTParams,
@@ -180,13 +255,8 @@ def evaluate(
     `requires_grad`), so no op records a tape node and each intermediate is
     freed once the next op has read it. The logits are the tracked
     forward's, bit for bit."""
-    if manifest.num_classes != config.num_classes:
-        raise ContractError(
-            f"dataset has {manifest.num_classes} classes, model expects {config.num_classes}"
-        )
+    _check_eval_manifest(config, manifest)
     n = len(manifest)
-    if n == 0:
-        raise ContractError("evaluate: the manifest has no entries")
     if batch_size < 1:
         raise ParameterError(f"evaluate: batch_size must be at least 1, got {batch_size}")
     view = {name: Tensor(p.data) for name, p in params.items()}
@@ -220,6 +290,8 @@ def _run_training(
     val_manifest: Optional[dat.DatasetManifest] = None,
     eval_every: int = 1,
 ) -> TrainResult:
+    if val_manifest is not None:
+        _check_eval_manifest(config, val_manifest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
@@ -238,9 +310,7 @@ def _run_training(
         total_epochs=recipe.epochs,
         steps_per_epoch=steps_per_epoch,
     )
-    policy = policy_from_recipe(recipe)
     state = opt.init_lamb_state(params)
-    decoded: Dict[int, aug.ImageU8] = {}
     eval_cache: Dict[int, np.ndarray] = {}
     val_cache: Dict[int, np.ndarray] = {}
     record = run_record(config, recipe)
@@ -249,20 +319,18 @@ def _run_training(
     start_time = time.monotonic()
     final_train_acc: Optional[float] = None
     final_val_acc: Optional[float] = None
-    with metrics_path.open("w", encoding="utf-8") as metrics:
+    with (
+        _batch_loader(manifest, recipe) as receive,
+        metrics_path.open("w", encoding="utf-8") as metrics,
+    ):
         for key, value in header_info.items():
             metrics.write(f"# {key}={value}\n")
         metrics.write(METRICS_HEADER + "\n")
         global_step = 0
         for epoch in range(recipe.epochs):
-            epoch_batches = dat.batches(
-                manifest, recipe.batch_size, recipe.seed, epoch, recipe.repeated_aug
-            )
-            for step, indices in enumerate(epoch_batches):
+            for step in range(steps_per_epoch):
                 lr = opt.cosine_lr(schedule, global_step)
-                images, targets = _assemble_batch(manifest, decoded, indices, recipe, policy, epoch)
-                mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
-                images, targets = _apply_mix(images, targets, policy, mix_rng)
+                images, targets = receive(epoch, step)
                 drop_rng = Rng(derive_seed(recipe.seed, dat.TAG_DROP, epoch, step))
                 logits = mdl.forward(config, params, Tensor(images), mode="train", rng=drop_rng)
                 loss = _loss_fn(recipe, logits, targets)
@@ -282,7 +350,7 @@ def _run_training(
                 for p in params.values():
                     p.zero_grad()
 
-                last_of_epoch = step == len(epoch_batches) - 1
+                last_of_epoch = step == steps_per_epoch - 1
                 train_acc_s = ""
                 val_acc_s = ""
                 if last_of_epoch and eval_every > 0 and (epoch + 1) % eval_every == 0:

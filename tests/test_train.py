@@ -1,12 +1,18 @@
 """Training loop: determinism, metrics format, checkpoint container,
-finetune wiring, abort contract."""
+finetune wiring, abort contract, the loader process."""
 
+import contextlib
+import multiprocessing
+import os
+import re
+import signal
 import struct
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from vitrecipe import augment as aug
 from vitrecipe import checkpoint as ckpt
 from vitrecipe import config as cfg
 from vitrecipe import data as dat
@@ -16,7 +22,7 @@ from vitrecipe import optim as opt
 from vitrecipe import training as trn
 from vitrecipe.errors import ContractError, FormatError, ParameterError
 from vitrecipe.numerics import Tensor
-from vitrecipe.rng import Rng
+from vitrecipe.rng import Rng, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +274,152 @@ def test_abort_on_nonfinite_loss(tmp_path, synth_root, monkeypatch):
     with pytest.raises(ContractError) as excinfo:
         trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "nf")
     assert "step" in str(excinfo.value)
+    assert multiprocessing.active_children() == []
+
+
+# -- the loader process -------------------------------------------------------
+
+
+def step_rows(metrics_path):
+    lines = metrics_path.read_text().splitlines() if metrics_path.exists() else []
+    return [ln for ln in lines if not ln.startswith(("#", "epoch,"))]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang into a failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_loader_stream_is_the_in_process_stream(tmp_path, synth_root, monkeypatch):
+    # per_sample_seed and the tagged mix seeds make each batch a pure function
+    # of (seed, epoch, step), so a loader in another process gives the bytes
+    # the single-process loop gives
+    recipe = toy_recipe(epochs=2)
+    received = []
+    real_forward, real_loss = mdl.forward, trn._loss_fn
+
+    def forward(config, params, images, mode="eval", rng=None):
+        if mode == "train":
+            received.append([images.data.tobytes()])
+        return real_forward(config, params, images, mode=mode, rng=rng)
+
+    def loss_fn(recipe, logits, targets):
+        received[-1].append(targets.tobytes())
+        return real_loss(recipe, logits, targets)
+
+    monkeypatch.setattr(mdl, "forward", forward)
+    monkeypatch.setattr(trn, "_loss_fn", loss_fn)
+    trn.train(recipe, synth_root, toy_model(), tmp_path / "stream")
+
+    assert recipe.repeated_aug
+    policy = trn.policy_from_recipe(recipe)
+    decoded, expected, kinds = {}, [], set()
+    for epoch in range(recipe.epochs):
+        epoch_batches = dat.batches(synth_root, recipe.batch_size, recipe.seed, epoch, True)
+        for step, indices in enumerate(epoch_batches):
+            images, targets = trn._assemble_batch(
+                synth_root, decoded, indices, recipe, policy, epoch
+            )
+            mix_seed = derive_seed(recipe.seed, dat.TAG_MIX, epoch, step)
+            kinds.add(aug.mix_dispatch(policy, Rng(mix_seed)))
+            images, targets = trn._apply_mix(images, targets, policy, Rng(mix_seed))
+            expected.append([images.tobytes(), targets.tobytes()])
+    assert kinds == {"mixup", "cutmix"}
+    assert len(received) == len(expected) == 10
+    assert received == expected
+
+
+def test_spawned_loader_gives_the_same_checkpoint(tmp_path, synth_root, monkeypatch):
+    recipe = toy_recipe(epochs=2)
+    default = trn.train(recipe, synth_root, toy_model(), tmp_path / "default")
+    spawn = multiprocessing.get_context("spawn")
+    assert trn.mp.get_start_method() != "spawn"
+    monkeypatch.setattr(trn, "mp", spawn)
+    spawned = trn.train(recipe, synth_root, toy_model(), tmp_path / "spawned")
+    assert spawned.checkpoint_path.read_bytes() == default.checkpoint_path.read_bytes()
+
+
+def test_a_truncated_image_fails_the_run_naming_its_path(tmp_path):
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=8, resolution=16, seed=5), tmp_path / "toy"
+    )
+    recipe = toy_recipe()
+    first = dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug)[0][0]
+    path = manifest.image_path(first)
+    path.write_bytes(path.read_bytes()[:-5])
+    with deadline(60), pytest.raises(FormatError, match=re.escape(str(path))):
+        trn.train(recipe, manifest, toy_model(), tmp_path / "run")
+    # raised by the loader at step 0, not by the epoch-end evaluate
+    assert step_rows(tmp_path / "run" / "metrics.csv") == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_loader_that_dies_fails_the_step_that_needed_its_batch(tmp_path, synth_root, monkeypatch):
+    calls = []  # counted in the loader process
+    real = trn._assemble_batch
+
+    def dying(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(trn, "_assemble_batch", dying)
+    with deadline(60), pytest.raises(ContractError, match=r"code 3 .*epoch 0 step 1$"):
+        trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "dead")
+    assert len(step_rows(tmp_path / "dead" / "metrics.csv")) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_leaves_no_loader_running(tmp_path, synth_root, monkeypatch):
+    real = trn._loss_fn
+    calls = []
+
+    def interrupted(recipe, logits, targets):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(recipe, logits, targets)
+
+    monkeypatch.setattr(trn, "_loss_fn", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "int")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["three-classes", "empty"])
+def test_a_bad_val_manifest_fails_before_the_first_step(tmp_path, synth_root, monkeypatch, kind):
+    if kind == "empty":
+        val = dat.DatasetManifest(root=synth_root.root, entries=(), num_classes=2)
+        message = "no entries"
+    else:
+        val = dat.synth_dataset(
+            dat.SynthSpec(num_classes=3, per_class=2, resolution=16, seed=6), tmp_path / "val"
+        )
+        message = "dataset has 3 classes, model expects 2"
+    forwards = []
+    real_forward = mdl.forward
+
+    def forward(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", forward)
+    with pytest.raises(ContractError, match=message):
+        trn.train(toy_recipe(), synth_root, toy_model(), tmp_path / "run", val_manifest=val)
+    assert forwards == []
+    assert step_rows(tmp_path / "run" / "metrics.csv") == []
 
 
 def test_evaluate_class_count_contract(synth_root):
