@@ -178,18 +178,8 @@ def init(config: ViTConfig, rng: Rng, dtype=np.float32) -> ViTParams:
 
 
 def _attention(x: Tensor, params: ViTParams, prefix: str, num_heads: int) -> Tensor:
-    b, t, d = x.shape
-    dh = d // num_heads
     qkv = nm.matmul(x, params[prefix + "attn.qkv.weight"], params[prefix + "attn.qkv.bias"])
-    qkv = nm.reshape(qkv, (b, t, 3, num_heads, dh))
-    qkv = nm.transpose(qkv, (2, 0, 3, 1, 4))
-    q = nm.reshape(nm.narrow(qkv, 0, 0, 1), (b, num_heads, t, dh))
-    k = nm.reshape(nm.narrow(qkv, 0, 1, 1), (b, num_heads, t, dh))
-    v = nm.reshape(nm.narrow(qkv, 0, 2, 1), (b, num_heads, t, dh))
-    scores = nm.matmul(nm.scale(q, dh**-0.5), nm.transpose(k, (0, 1, 3, 2)))
-    attn = nm.softmax(scores)
-    out = nm.matmul(attn, v)
-    out = nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (b, t, d))
+    out = nm.attention(qkv, num_heads)
     return nm.matmul(out, params[prefix + "attn.proj.weight"], params[prefix + "attn.proj.bias"])
 
 
@@ -374,10 +364,11 @@ def count_activation_bytes(config: ViTConfig, batch: int, dtype=np.float32) -> D
     Counts each base buffer the tape holds once, parameters and the input
     images excluded, and the logits included. That is what the backward
     rules read (after Korthikanti et al., arXiv 2205.05198, §4): matmul
-    operands, layernorm's xhat and 1/σ, softmax's output, GELU's derivative,
-    the branch outputs the LayerScale gates multiply and the drop-path
-    factors. Returns `patch_embed` (the patchified copy), `block` (one
-    block), `head` (final norm, class-token rows and logits) and `total`.
+    operands, layernorm's xhat and 1/σ, attention's qkv and softmax output
+    (its result is the projection's operand), GELU's derivative, the branch
+    outputs the LayerScale gates multiply and the drop-path factors.
+    Returns `patch_embed` (the patchified copy), `block` (one block),
+    `head` (final norm, class-token rows and logits) and `total`.
     """
     s = np.dtype(dtype).itemsize
     b, d, h, m = batch, config.embed_dim, config.num_heads, config.mlp_hidden
@@ -387,9 +378,9 @@ def count_activation_bytes(config: ViTConfig, batch: int, dtype=np.float32) -> D
     block = (
         2 * (btd + b * t)  # each layernorm: xhat and 1/σ
         + 2 * btd  # each layernorm's output, read by the matmul after it
-        + 3 * btd  # q·dh^-0.5, kᵀ and v
-        + b * h * t * t  # softmax output
-        + btd  # heads merged, the projection's input
+        + 3 * btd  # qkv, which attention reads q, k and v from
+        + b * h * t * t  # attention's softmax output P
+        + btd  # heads merged: attention's result and the projection's input
         + 2 * btd  # attention and MLP branch outputs, read by LayerScale
         + 2 * b * t * m  # GELU's derivative and output
         + drop

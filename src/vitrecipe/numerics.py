@@ -194,6 +194,58 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn, "matmul")
 
 
+def attention(qkv: Tensor, num_heads: int) -> Tensor:
+    """Multi-head self-attention, as one node from the (B, T, 3D) qkv
+    product to the (B, T, D) merged heads that the output projection reads.
+
+    The last axis of qkv holds (3, num_heads, dh): q, k and v are strided
+    views of it. The forward is the composition it replaces, in its order,
+    so it has the same bits: q·dh^-0.5, the product with kᵀ, the softmax P,
+    the product with v. Both products go through `matmul` on untracked
+    tensors. The tape keeps qkv, P and the result, which the output
+    projection keeps anyway. Backward applies the softmax rule of
+    FlashAttention (arXiv 2205.14135, §3.1), dS = P∘(dP − rowsum(dO∘O)),
+    and writes dq = s·dS·K, dk = s·dSᵀ·Q and dv = Pᵀ·dO, with s = dh^-0.5,
+    through strided views into one qkv-shaped array.
+    """
+    if qkv.ndim != 3:
+        raise DimensionError(f"attention: qkv must be (B, T, 3D), got {tuple(qkv.shape)}")
+    b, t, width = qkv.shape
+    if num_heads < 1 or width == 0 or width % (3 * num_heads):
+        raise DimensionError(
+            f"attention: last axis {width} is not 3·{num_heads} heads·head width"
+        )
+    dh = width // (3 * num_heads)
+    s = dh**-0.5
+    qkv_data = qkv.data
+    q, k, v = qkv_data.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
+    # kᵀ is copied: OpenBLAS ran the strided one slower and, at dh = 64,
+    # with other bits
+    scores = matmul(Tensor(q * s), Tensor(np.ascontiguousarray(k.swapaxes(-1, -2)))).data
+    p = _softmax(scores, out=scores)
+    heads = matmul(Tensor(p), Tensor(v)).data  # (B, H, T, dh)
+    out = heads.transpose(0, 2, 1, 3).reshape(b, t, width // 3)
+
+    def grad_fn(g):
+        grad = np.empty((b, t, 3, num_heads, dh), qkv_data.dtype)
+        dq, dk, dv = grad.transpose(2, 0, 3, 1, 4)
+        do = g.reshape(b, t, num_heads, dh)
+        # rowsum(dP∘P) = rowsum(dO∘O), read from the (B, T, D) arrays
+        rows = np.einsum("bthd,bthd->bht", do, out.reshape(b, t, num_heads, dh))
+        do = do.transpose(0, 2, 1, 3)
+        np.matmul(p.swapaxes(-1, -2), do, out=dv)
+        ds = do @ np.ascontiguousarray(v.swapaxes(-1, -2))  # dP
+        np.subtract(ds, rows[..., None], out=ds)
+        np.multiply(ds, p, out=ds)
+        np.matmul(ds, k, out=dq)
+        np.multiply(dq, s, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        np.multiply(dk, s, out=dk)
+        return (grad.reshape(b, t, width),)
+
+    return _make(out, (qkv,), grad_fn, "attention")
+
+
 # -- shape ops -------------------------------------------------------------
 
 
@@ -316,10 +368,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    # one full-size array, which each pass rewrites (same bits as out of place)
-    out = np.subtract(x.data, x.data.max(axis=-1, keepdims=True))
-    np.exp(out, out=out)
-    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
+    out = _softmax(x.data)
 
     def grad_fn(g):
         gx = np.multiply(g, out)
@@ -329,6 +378,16 @@ def softmax(x: Tensor) -> Tensor:
         return (gx,)
 
     return _make(out, (x,), grad_fn, "softmax")
+
+
+def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of `x` over its last axis into `out` (fresh when None; `x`
+    itself is allowed). Each pass rewrites one array, with the bits of the
+    out-of-place formula."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
+    return out
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -378,13 +437,13 @@ _AS_HALF_S = tuple(
     0.5 * sum(math.comb(k, j) * a for k, a in enumerate(_AS_A, start=1) if k >= j)
     for j in range(5, -1, -1)
 )
-_GELU_BLOCK = 1 << 16  # elements per block: x, out and two buffers stay in L2
+_GELU_BLOCK = 1 << 16  # elements per block: x, out and three buffers stay in L2
 
 
 def _gelu_f32(x: np.ndarray, tracked: bool):
     """x·Φ(x) for f32 x, and Φ(x) + x·φ(x) when `tracked` (else None).
 
-    Every pass runs in place over one block at a time, so the ~22 numpy
+    Every pass runs in place over one block at a time, so the ~24 numpy
     passes reuse cached memory and allocate nothing full-size beyond the
     result and the derivative. exp(-x²/2) serves both Φ and the density φ.
     1/0 at x = ±0, overflow of x² for |x| > 1.8e19 and inf·0 at x = ±inf
@@ -393,13 +452,13 @@ def _gelu_f32(x: np.ndarray, tracked: bool):
     flat = x.ravel()
     out = np.empty_like(flat)
     deriv = np.empty_like(flat) if tracked else None
-    scratch = np.empty((1 if tracked else 2, min(flat.size, _GELU_BLOCK)), np.float32)
+    scratch = np.empty((2, min(flat.size, _GELU_BLOCK)), np.float32)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, flat.size, _GELU_BLOCK):
             hi = min(lo + _GELU_BLOCK, flat.size)
             xb, ob = flat[lo:hi], out[lo:hi]
-            s = scratch[0, : hi - lo]
-            e = deriv[lo:hi] if tracked else scratch[1, : hi - lo]
+            s, h = scratch[:, : hi - lo]
+            e = deriv[lo:hi] if tracked else h  # untracked, h reuses e once it is spent
             np.multiply(xb, xb, out=e)
             np.multiply(e, -0.5, out=e)
             np.exp(e, out=e)  # exp(-x²/2) = exp(-z²)
@@ -412,10 +471,12 @@ def _gelu_f32(x: np.ndarray, tracked: bool):
                 np.add(ob, b, out=ob)
                 np.multiply(ob, s, out=ob)
             np.add(ob, _AS_HALF_S[-1], out=ob)
-            np.multiply(ob, e, out=ob)  # 1 − Φ(|x|)
-            np.subtract(0.5, ob, out=ob)
-            np.copysign(ob, xb, out=ob)
-            np.add(ob, 0.5, out=ob)  # Φ(x)
+            np.multiply(ob, e, out=ob)  # q = 1 − Φ(|x|)
+            np.greater_equal(xb, 0.0, out=h)
+            np.multiply(ob, -2.0, out=s)
+            np.add(s, 1.0, out=s)
+            np.multiply(s, h, out=s)
+            np.add(ob, s, out=ob)  # Φ(x) = q + h·(1 − 2q): exactly q for x < 0
             if tracked:
                 np.multiply(e, xb, out=e)
                 np.multiply(e, _INV_SQRT2PI, out=e)

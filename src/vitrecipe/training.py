@@ -162,6 +162,11 @@ def _batch_loader(manifest, recipe: RecipeConfig):
     """Start the loader process and yield `receive(epoch, step)`, which
     returns that step's batch or raises there what stopped the loader. The
     process is ended on every exit path."""
+    if mp.current_process().daemon:
+        raise ContractError(
+            "the batch loader process cannot start under a daemonic parent process "
+            "(such as a multiprocessing.Pool worker); run train or finetune outside one"
+        )
     receiver, sender = mp.Pipe(duplex=False)
     loader = mp.Process(
         target=_load_batches, args=(sender, receiver, manifest, recipe),

@@ -1,6 +1,13 @@
 """Suite-wide checks."""
 
 import multiprocessing
+import os
+
+# One BLAS thread, set before numpy loads, as perfbench/run.py does. On 2
+# cores the suite ran 6-13% faster so: a second OpenBLAS thread competed
+# with the training loader process for the other core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 

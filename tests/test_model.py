@@ -126,6 +126,25 @@ def test_activation_bytes_are_what_the_tape_holds(monkeypatch, config, b, dtype)
     )
 
 
+def test_traced_forward_macs_equal_count_flops(monkeypatch):
+    # perfbench's exact MAC check counts `nm.matmul` calls, so it sees the
+    # two attention products only because `nm.attention` makes them there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("numerics", "model", "checkpoint", "training"):  # what Tracer() looks up
+        importlib.import_module(f"vitrecipe.{name}")
+    tracer = importlib.import_module("tracer").Tracer()
+    b = 64
+    params = mdl.init(ACCEPTANCE_TOY, Rng(3))
+    images = batch(b, ACCEPTANCE_TOY, dtype=np.float32)
+    tracer.install()
+    try:
+        mdl.forward(ACCEPTANCE_TOY, params, images, mode="train", rng=Rng(4))
+    finally:
+        tracer.uninstall()
+    [(_, macs, expected, _, _)] = tracer.forwards
+    assert macs == expected == mdl.count_flops(ACCEPTANCE_TOY, 32) * b
+
+
 def test_token_counts_160_vs_224():
     assert mdl.num_patches(160, 16) == 100
     assert mdl.num_patches(224, 16) == 196

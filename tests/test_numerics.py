@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from vitrecipe import numerics as nm
 from vitrecipe.errors import ContractError, DimensionError
@@ -149,6 +150,18 @@ def test_gelu_f32_special_values_match_f64_without_warnings():
     np.testing.assert_array_equal(value, ref_value.astype(np.float32))
     np.testing.assert_array_equal(np.signbit(value), np.signbit(ref_value))
     np.testing.assert_array_equal(deriv, ref_deriv.astype(np.float32))
+
+
+def test_gelu_f32_keeps_relative_precision_in_the_lower_tail():
+    # Φ(x) = q exactly for x < 0, so what is left is A&S 7.1.26's own
+    # relative error, 1.03% at x = -8 (measured); selecting Φ as
+    # ½ + copysign(½ − q, x) rounded it to 0 below about -5.5
+    x = np.linspace(-8.0, -3.0, 500_001, dtype=np.float32)
+    value = nm.gelu(Tensor(x)).data
+    x64 = x.astype(np.float64)
+    reference = x64 * ndtr(x64)  # 1 + erf(x/√2) would cancel in f64 too
+    assert np.all(value < 0.0)
+    assert np.max(np.abs(value - reference) / -reference) < 0.0125
 
 
 def test_gelu_f32_blocks_match_per_element_results():
@@ -352,6 +365,60 @@ def test_layernorm_and_softmax_bits_equal_reference_f32(shape):
         assert [a.tobytes() for a in grads] == [a.tobytes() for a in ref_grads]
         assert all(a.dtype == np.float32 for a in grads)
         assert g.tobytes() == g_before.tobytes()  # add hands one g to two inputs
+
+
+# -- fused attention against the composition it replaced -----------------------
+
+
+def attention_reference(qkv, num_heads):
+    """The 15-node composition `nm.attention` replaced, from the (B, T, 3D)
+    qkv product to the (B, T, D) merged heads."""
+    b, t, width = qkv.shape
+    d = width // 3
+    dh = d // num_heads
+    qkv = nm.reshape(qkv, (b, t, 3, num_heads, dh))
+    qkv = nm.transpose(qkv, (2, 0, 3, 1, 4))
+    q = nm.reshape(nm.narrow(qkv, 0, 0, 1), (b, num_heads, t, dh))
+    k = nm.reshape(nm.narrow(qkv, 0, 1, 1), (b, num_heads, t, dh))
+    v = nm.reshape(nm.narrow(qkv, 0, 2, 1), (b, num_heads, t, dh))
+    scores = nm.matmul(nm.scale(q, dh**-0.5), nm.transpose(k, (0, 1, 3, 2)))
+    out = nm.matmul(nm.softmax(scores), v)
+    return nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (b, t, d))
+
+
+def test_attention_gradients():
+    check_gradients(lambda x: nm.attention(x, 2), [randn(2, 5, 12, seed=65)])
+    check_gradients(lambda x: nm.attention(x, 1), [randn(1, 3, 6, seed=66)])
+
+
+# (B, T, heads, dh): the acceptance toy's blocks, ViT-T's at 96 px, and a small odd case
+ATTENTION_SHAPES = [(4, 65, 4, 16), (2, 37, 3, 64), (3, 5, 2, 3)]
+
+
+@pytest.mark.parametrize("b,t,heads,dh", ATTENTION_SHAPES)
+def test_attention_f32_forward_bits_and_gradients_match_the_composition(b, t, heads, dh):
+    qkv = f32(b, t, 3 * heads * dh, seed=67)
+    probe = f32(b, t, heads * dh, seed=68)
+    fused = nm.attention(Tensor(qkv), heads)
+    composed = attention_reference(Tensor(qkv), heads)
+    assert fused.data.dtype == np.float32
+    assert fused.data.tobytes() == composed.data.tobytes()
+    grads = []
+    for op in (lambda x: nm.attention(x, heads), lambda x: attention_reference(x, heads)):
+        x = Tensor(qkv, requires_grad=True)
+        nm.backward(nm.tensor_sum(nm.mul(op(x), Tensor(probe))))
+        grads.append(x.grad)
+    # each f32 path was within 3e-6·max|grad| of the f64 gradient, and the
+    # two within 1.2e-6·max|grad| of each other (measured)
+    assert grads[0].dtype == np.float32
+    assert np.abs(grads[0] - grads[1]).max() < 1e-5 * np.abs(grads[1]).max()
+
+
+def test_attention_rejects_bad_shapes():
+    for shape, heads in [((4, 12), 2), ((2, 3, 4, 12), 2), ((2, 3, 10), 2), ((2, 3, 12), 3),
+                         ((2, 3, 0), 1), ((2, 3, 12), 0)]:
+        with pytest.raises(DimensionError):
+            nm.attention(Tensor(randn(*shape, seed=69)), heads)
 
 
 def _peak_full_arrays(fn, full_bytes):

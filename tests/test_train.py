@@ -350,6 +350,17 @@ def test_spawned_loader_gives_the_same_checkpoint(tmp_path, synth_root, monkeypa
     assert spawned.checkpoint_path.read_bytes() == default.checkpoint_path.read_bytes()
 
 
+def test_train_in_a_daemonic_process_fails_typed(tmp_path, synth_root):
+    pool = multiprocessing.get_context("spawn").Pool(1)  # its worker is daemonic
+    try:
+        run = pool.apply_async(trn.train, (toy_recipe(), synth_root, toy_model(), tmp_path / "run"))
+        with pytest.raises(ContractError, match="daemonic parent"):
+            run.get(timeout=60)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def test_a_truncated_image_fails_the_run_naming_its_path(tmp_path):
     manifest = dat.synth_dataset(
         dat.SynthSpec(num_classes=2, per_class=8, resolution=16, seed=5), tmp_path / "toy"
