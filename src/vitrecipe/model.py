@@ -39,6 +39,10 @@ class ViTConfig:
     mlp_ratio: ClassVar[float] = 4.0  # MLP width over embed_dim, the same at every size
 
     def __post_init__(self):
+        _require_positive(**{
+            name: getattr(self, name)
+            for name in ("patch_size", "embed_dim", "depth", "num_heads", "image_size", "num_classes")
+        })
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -59,7 +63,14 @@ class ViTConfig:
         return int(self.embed_dim * self.mlp_ratio)
 
 
+def _require_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 def num_patches(image_size: int, patch_size: int) -> int:
+    _require_positive(image_size=image_size, patch_size=patch_size)
     if image_size % patch_size != 0:
         raise ParameterError(f"{image_size} not divisible by patch size {patch_size}")
     return (image_size // patch_size) ** 2
@@ -287,6 +298,7 @@ def interpolate_pos_embed(params: ViTParams, new_size: int, patch_size: int) -> 
     to g x g, bicubically resampled (Catmull-Rom, half-pixel centers,
     per-position weight normalization), and flattened back.
     """
+    _require_positive(new_size=new_size, patch_size=patch_size)
     if new_size % patch_size != 0:
         raise ParameterError(f"new size {new_size} not divisible by patch {patch_size}")
     pos = params["pos_embed"].data

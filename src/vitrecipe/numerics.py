@@ -8,11 +8,20 @@ axis (per-channel scaling). Anything richer has a dedicated op
 backward rule.
 
 f32 is the training dtype; gradient checks run everything at f64.
+
+The heavy ops (`matmul`, `attention`'s backward, `layernorm`, the softmax
+and the f32 GELU) split their rows in two with `_split` when the process
+may run on two or more CPUs: one half on a helper thread, the other on the
+calling thread. Each output element comes from the same numpy or BLAS call
+on its own slice either way, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +31,76 @@ from .errors import ContractError, DimensionError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# -- the helper thread -------------------------------------------------------
+
+# Two parts when the process may run on two or more CPUs, else one: every op
+# then runs inline on the calling thread.
+_PARTS = 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+# Elements a part must hold for the handoff to pay: handing a part to the
+# helper and waiting for it took ~23 µs; a (64, 64) @ (64, 10) product took
+# 6 µs inline and 50 µs split.
+_MIN_PART = 1 << 14
+_tasks: Optional[queue.SimpleQueue] = None  # what the helper thread, once started, runs
+_lock = threading.Lock()  # held by the one caller using the helper
+
+
+def _help(tasks: queue.SimpleQueue) -> None:
+    while True:
+        fn, lo, hi, done = tasks.get()
+        err = None
+        try:
+            fn(lo, hi)
+        except BaseException as exc:  # handed back to the caller, which raises it
+            err = exc
+        del fn  # else its arrays would live until the next part arrives
+        done.put(err)
+
+
+def _split(fn, n: int, size: int, min_rows: int = 1) -> None:
+    """Run `fn(lo, hi)` over the rows [0, n): the first half on the helper
+    thread, the second on the calling thread, and return when both are done.
+
+    `fn` runs raw numpy on slices of arrays the caller allocated, never a
+    public op of this module (a tracer wraps those, single-threaded). The
+    whole range runs inline when there is one part, when a half would hold
+    fewer than `min_rows` rows or `_MIN_PART` of the `size` elements, or
+    when another thread is using the helper.
+    """
+    global _tasks
+    if (
+        _PARTS < 2
+        or n < 2 * min_rows
+        or size < 2 * _MIN_PART
+        or not _lock.acquire(blocking=False)
+    ):
+        fn(0, n)
+        return
+    try:
+        if _tasks is None:
+            _tasks = queue.SimpleQueue()
+            threading.Thread(
+                target=_help, args=(_tasks,), name="vitrecipe-numerics", daemon=True
+            ).start()
+        done = queue.SimpleQueue()  # per call, so an interrupted wait leaves no stale answer
+        _tasks.put((fn, 0, n // 2, done))
+        try:
+            fn(n // 2, n)
+        finally:
+            err = done.get()  # the helper writes into the caller's arrays until here
+    finally:
+        _lock.release()
+    if err is not None:
+        raise err
+
+
+def _forget_helper() -> None:  # a forked child has no helper thread
+    global _tasks, _lock
+    _tasks, _lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 class TapeNode:
@@ -177,18 +256,34 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"matmul: bias shape {tuple(bias.shape)} is not ({b.shape[-1]},)"
         )
     a_data, b_data = a.data, b.data
-    out = a_data @ b_data
     has_bias = bias is not None
-    if has_bias:
-        out += bias.data
+    bias_data = bias.data if has_bias else None
+    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a_data, b_data))
+
+    def part(lo, hi):
+        o = out[lo:hi]
+        np.matmul(a_data[lo:hi], b_data[lo:hi] if batched else b_data, out=o)
+        if has_bias:
+            np.add(o, bias_data, out=o)
+
+    # the leading axis, two rows a part at least: one row would run as a BLAS
+    # gemv, with other bits than the gemm of the whole
+    _split(part, a.shape[0], out.size, min_rows=2)
 
     def grad_fn(g):
-        if batched:
-            ga = g @ b_data.swapaxes(-1, -2)
-            gb = a_data.swapaxes(-1, -2) @ g
-        else:
-            ga = g @ b_data.T
-            gb = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        grads = [None, None]  # aᵀ·g on the helper, g·bᵀ on the caller; neither split
+
+        def task(lo, hi):
+            if lo == 0:
+                grads[0] = (
+                    a_data.swapaxes(-1, -2) @ g if batched
+                    else a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                )
+            if hi == 2:
+                grads[1] = g @ b_data.swapaxes(-1, -2)
+
+        _split(task, 2, g.size)
+        gb, ga = grads
         return (ga, gb, _sum_to_rank1(g)) if has_bias else (ga, gb)
 
     return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn, "matmul")
@@ -230,17 +325,23 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
         grad = np.empty((b, t, 3, num_heads, dh), qkv_data.dtype)
         dq, dk, dv = grad.transpose(2, 0, 3, 1, 4)
         do = g.reshape(b, t, num_heads, dh)
-        # rowsum(dP∘P) = rowsum(dO∘O), read from the (B, T, D) arrays
-        rows = np.einsum("bthd,bthd->bht", do, out.reshape(b, t, num_heads, dh))
-        do = do.transpose(0, 2, 1, 3)
-        np.matmul(p.swapaxes(-1, -2), do, out=dv)
-        ds = do @ np.ascontiguousarray(v.swapaxes(-1, -2))  # dP
-        np.subtract(ds, rows[..., None], out=ds)
-        np.multiply(ds, p, out=ds)
-        np.matmul(ds, k, out=dq)
-        np.multiply(dq, s, out=dq)
-        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        np.multiply(dk, s, out=dk)
+        o = out.reshape(b, t, num_heads, dh)
+
+        def part(lo, hi):  # batch elements [lo, hi)
+            # rowsum(dP∘P) = rowsum(dO∘O), read from the (B, T, D) arrays
+            rows = np.einsum("bthd,bthd->bht", do[lo:hi], o[lo:hi])
+            do_ = do[lo:hi].transpose(0, 2, 1, 3)
+            p_, q_, k_, dq_, dk_ = p[lo:hi], q[lo:hi], k[lo:hi], dq[lo:hi], dk[lo:hi]
+            np.matmul(p_.swapaxes(-1, -2), do_, out=dv[lo:hi])
+            ds = do_ @ np.ascontiguousarray(v[lo:hi].swapaxes(-1, -2))  # dP
+            np.subtract(ds, rows[..., None], out=ds)
+            np.multiply(ds, p_, out=ds)
+            np.matmul(ds, k_, out=dq_)
+            np.multiply(dq_, s, out=dq_)
+            np.matmul(ds.swapaxes(-1, -2), q_, out=dk_)
+            np.multiply(dk_, s, out=dk_)
+
+        _split(part, b, p.size)
         return (grad.reshape(b, t, width),)
 
     return _make(out, (qkv,), grad_fn, "attention")
@@ -339,30 +440,52 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     # Two full-size arrays: xhat, which backward reads, and the result, which
     # first holds xc² for the variance. Each pass is the formula's own
     # operation in its order, written in place, so the bits do not change.
-    x_data, gamma_data, dtype = x.data, gamma.data, x.dtype
-    mu = x_data.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x_data, mu)  # xc
-    out = np.multiply(xhat, xhat)
-    var = out.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    np.multiply(xhat, inv, out=xhat)
-    np.multiply(xhat, gamma_data, out=out)
-    np.add(out, beta.data, out=out)
+    # Every pass but the two column sums of backward is row-local, so the
+    # rows are split.
+    x_data, gamma_data, beta_data, dtype = x.data, gamma.data, beta.data, x.dtype
+    xs = x_data.reshape(-1, d)
+    xhat, out = np.empty(xs.shape, dtype), np.empty(xs.shape, dtype)
+    inv = np.empty((xs.shape[0], 1), dtype)
+
+    def forward_rows(lo, hi):
+        x_, xhat_, out_ = xs[lo:hi], xhat[lo:hi], out[lo:hi]
+        mu = x_.mean(axis=-1, keepdims=True)
+        np.subtract(x_, mu, out=xhat_)  # xc
+        np.multiply(xhat_, xhat_, out=out_)
+        var = out_.mean(axis=-1, keepdims=True)
+        np.add(var, eps, out=var)
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=inv[lo:hi])
+        np.multiply(xhat_, inv[lo:hi], out=xhat_)
+        np.multiply(xhat_, gamma_data, out=out_)
+        np.add(out_, beta_data, out=out_)
+
+    _split(forward_rows, xs.shape[0], xs.size)
 
     def grad_fn(g):
         # standard layernorm backward: remove the mean and the xhat-projection;
         # g is never written, since `add` hands one g to both its inputs
-        dxhat = np.multiply(g, gamma_data)
-        tmp = np.multiply(dxhat, xhat)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = tmp.mean(axis=-1, keepdims=True)
-        np.subtract(dxhat, m1, out=dxhat)
-        np.multiply(xhat, m2, out=tmp)
-        np.subtract(dxhat, tmp, out=dxhat)
-        np.multiply(inv, dxhat, out=dxhat)
-        np.multiply(g, xhat, out=tmp)  # last: a rank-1 sum is tmp itself
-        return dxhat.astype(dtype, copy=False), _sum_to_rank1(tmp), _sum_to_rank1(g)
+        gs = g.reshape(-1, d)
+        dxhat = np.empty(gs.shape, np.result_type(g, gamma_data))
+        tmp = np.empty(gs.shape, np.result_type(dxhat, xhat))
 
+        def backward_rows(lo, hi):
+            g_, xhat_, dxhat_, tmp_ = gs[lo:hi], xhat[lo:hi], dxhat[lo:hi], tmp[lo:hi]
+            np.multiply(g_, gamma_data, out=dxhat_)
+            np.multiply(dxhat_, xhat_, out=tmp_)
+            m1 = dxhat_.mean(axis=-1, keepdims=True)
+            m2 = tmp_.mean(axis=-1, keepdims=True)
+            np.subtract(dxhat_, m1, out=dxhat_)
+            np.multiply(xhat_, m2, out=tmp_)
+            np.subtract(dxhat_, tmp_, out=dxhat_)
+            np.multiply(inv[lo:hi], dxhat_, out=dxhat_)
+            np.multiply(g_, xhat_, out=tmp_)  # last: a rank-1 sum is tmp itself
+
+        _split(backward_rows, gs.shape[0], gs.size)
+        gx = dxhat.reshape(g.shape).astype(dtype, copy=False)
+        return gx, _sum_to_rank1(tmp), _sum_to_rank1(gs)
+
+    out = out.reshape(x.shape)
     return _make(out, (x, gamma, beta), grad_fn, "layernorm")
 
 
@@ -382,11 +505,20 @@ def softmax(x: Tensor) -> Tensor:
 
 def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax of `x` over its last axis into `out` (fresh when None; `x`
-    itself is allowed). Each pass rewrites one array, with the bits of the
-    out-of-place formula."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
+    itself is allowed, and a given `out` must be C-contiguous). Each pass
+    rewrites one array, with the bits of the out-of-place formula, and the
+    rows are split."""
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    xs, outs = x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])
+
+    def rows(lo, hi):
+        x_, out_ = xs[lo:hi], outs[lo:hi]
+        np.subtract(x_, x_.max(axis=-1, keepdims=True), out=out_)
+        np.exp(out_, out=out_)
+        np.divide(out_, out_.sum(axis=-1, keepdims=True), out=out_)
+
+    _split(rows, xs.shape[0], xs.size)
     return out
 
 
@@ -452,36 +584,42 @@ def _gelu_f32(x: np.ndarray, tracked: bool):
     flat = x.ravel()
     out = np.empty_like(flat)
     deriv = np.empty_like(flat) if tracked else None
-    scratch = np.empty((2, min(flat.size, _GELU_BLOCK)), np.float32)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, _GELU_BLOCK):
-            hi = min(lo + _GELU_BLOCK, flat.size)
-            xb, ob = flat[lo:hi], out[lo:hi]
-            s, h = scratch[:, : hi - lo]
-            e = deriv[lo:hi] if tracked else h  # untracked, h reuses e once it is spent
-            np.multiply(xb, xb, out=e)
-            np.multiply(e, -0.5, out=e)
-            np.exp(e, out=e)  # exp(-x²/2) = exp(-z²)
-            np.abs(xb, out=s)
-            np.divide(math.sqrt(2.0) / _AS_P, s, out=s)  # 1/(p·z)
-            np.add(s, 1.0, out=s)
-            np.divide(-1.0, s, out=s)  # s = t − 1 = −1/(1 + 1/(p·z)), −1 at x = ±inf
-            np.multiply(s, _AS_HALF_S[0], out=ob)
-            for b in _AS_HALF_S[1:-1]:
-                np.add(ob, b, out=ob)
-                np.multiply(ob, s, out=ob)
-            np.add(ob, _AS_HALF_S[-1], out=ob)
-            np.multiply(ob, e, out=ob)  # q = 1 − Φ(|x|)
-            np.greater_equal(xb, 0.0, out=h)
-            np.multiply(ob, -2.0, out=s)
-            np.add(s, 1.0, out=s)
-            np.multiply(s, h, out=s)
-            np.add(ob, s, out=ob)  # Φ(x) = q + h·(1 − 2q): exactly q for x < 0
-            if tracked:
-                np.multiply(e, xb, out=e)
-                np.multiply(e, _INV_SQRT2PI, out=e)
-                np.add(e, ob, out=e)  # Φ(x) + x·φ(x)
-            np.multiply(ob, xb, out=ob)
+
+    def blocks(first, last):  # blocks [first, last), each part with its own scratch
+        start, stop = first * _GELU_BLOCK, min(last * _GELU_BLOCK, flat.size)
+        scratch = np.empty((2, min(stop - start, _GELU_BLOCK)), np.float32)
+        # errstate is per thread, so each part enters it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for lo in range(start, stop, _GELU_BLOCK):
+                hi = min(lo + _GELU_BLOCK, flat.size)
+                xb, ob = flat[lo:hi], out[lo:hi]
+                s, h = scratch[:, : hi - lo]
+                e = deriv[lo:hi] if tracked else h  # untracked, h reuses e once it is spent
+                np.multiply(xb, xb, out=e)
+                np.multiply(e, -0.5, out=e)
+                np.exp(e, out=e)  # exp(-x²/2) = exp(-z²)
+                np.abs(xb, out=s)
+                np.divide(math.sqrt(2.0) / _AS_P, s, out=s)  # 1/(p·z)
+                np.add(s, 1.0, out=s)
+                np.divide(-1.0, s, out=s)  # s = t − 1 = −1/(1 + 1/(p·z)), −1 at x = ±inf
+                np.multiply(s, _AS_HALF_S[0], out=ob)
+                for b in _AS_HALF_S[1:-1]:
+                    np.add(ob, b, out=ob)
+                    np.multiply(ob, s, out=ob)
+                np.add(ob, _AS_HALF_S[-1], out=ob)
+                np.multiply(ob, e, out=ob)  # q = 1 − Φ(|x|)
+                np.greater_equal(xb, 0.0, out=h)
+                np.multiply(ob, -2.0, out=s)
+                np.add(s, 1.0, out=s)
+                np.multiply(s, h, out=s)
+                np.add(ob, s, out=ob)  # Φ(x) = q + h·(1 − 2q): exactly q for x < 0
+                if tracked:
+                    np.multiply(e, xb, out=e)
+                    np.multiply(e, _INV_SQRT2PI, out=e)
+                    np.add(e, ob, out=e)  # Φ(x) + x·φ(x)
+                np.multiply(ob, xb, out=ob)
+
+    _split(blocks, -(-flat.size // _GELU_BLOCK), flat.size)
     return out.reshape(x.shape), None if deriv is None else deriv.reshape(x.shape)
 
 

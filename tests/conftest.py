@@ -3,9 +3,10 @@
 import multiprocessing
 import os
 
-# One BLAS thread, set before numpy loads, as perfbench/run.py does. On 2
-# cores the suite ran 6-13% faster so: a second OpenBLAS thread competed
-# with the training loader process for the other core.
+# One BLAS thread, set before numpy loads, as perfbench/run.py does. The
+# heavy numerics ops already split their rows onto a helper thread, and the
+# training loader process takes its share of the cores too, so a second
+# OpenBLAS thread would only compete with them for the cores.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -4,6 +4,7 @@ resampling."""
 
 import importlib
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,34 @@ def test_traced_forward_macs_equal_count_flops(monkeypatch):
         tracer.uninstall()
     [(_, macs, expected, _, _)] = tracer.forwards
     assert macs == expected == mdl.count_flops(ACCEPTANCE_TOY, 32) * b
+
+
+def test_traced_forward_records_the_same_spans_with_one_part_and_two(monkeypatch):
+    # the helper thread runs raw numpy only, so a split adds no span and no MAC
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("numerics", "model", "checkpoint", "training"):  # what Tracer() looks up
+        importlib.import_module(f"vitrecipe.{name}")
+    tracer_module = importlib.import_module("tracer")
+    b = 64
+    params = mdl.init(ACCEPTANCE_TOY, Rng(3))
+    images = batch(b, ACCEPTANCE_TOY, dtype=np.float32)
+    spans, forwards = [], []
+    for parts in (1, 2):
+        monkeypatch.setattr(nm, "_PARTS", parts)
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            logits = mdl.forward(ACCEPTANCE_TOY, params, images, mode="train", rng=Rng(4))
+            nm.backward(nm.tensor_sum(logits))
+        finally:
+            tracer.uninstall()
+        spans.append(Counter(name for name, *_ in tracer.spans))
+        forwards.append(tracer.forwards)
+    assert spans[0] == spans[1]
+    # per block: qkv, attention's two products, proj, fc1 and fc2; then patch and head
+    assert spans[0]["numerics.matmul"] == 6 * ACCEPTANCE_TOY.depth + 2
+    for [(_, macs, expected, _, _)] in forwards:
+        assert macs == expected == mdl.count_flops(ACCEPTANCE_TOY, 32) * b
 
 
 def test_token_counts_160_vs_224():
@@ -357,6 +386,28 @@ def test_interpolate_row_counts_160_to_224():
     assert params["pos_embed"].shape[1] == 101
     out = mdl.interpolate_pos_embed(params, 224, 16)
     assert out["pos_embed"].shape == (1, 197, 32)
+
+
+SIZES = dict(patch_size=4, embed_dim=32, depth=2, num_heads=2, image_size=16, num_classes=5)
+
+
+@pytest.mark.parametrize("field", SIZES)
+@pytest.mark.parametrize("value", [0, -4])
+def test_config_rejects_a_non_positive_size(field, value):
+    with pytest.raises(ParameterError, match=field):
+        ViTConfig(**{**SIZES, field: value})
+
+
+@pytest.mark.parametrize("image_size,patch_size", [(32, 0), (0, 4), (32, -4)])
+def test_num_patches_rejects_a_non_positive_size(image_size, patch_size):
+    with pytest.raises(ParameterError):
+        mdl.num_patches(image_size, patch_size)
+
+
+@pytest.mark.parametrize("new_size,patch_size", [(0, 4), (8, 0), (-8, 4)])
+def test_interpolate_rejects_a_non_positive_size(new_size, patch_size):
+    with pytest.raises(ParameterError):
+        mdl.interpolate_pos_embed(tiny_params(), new_size, patch_size)
 
 
 def test_interpolate_rejects_indivisible_size():

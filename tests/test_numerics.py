@@ -1,9 +1,15 @@
 """Tensor-op oracles: hand arithmetic, closed forms, and central finite
 differences (h=1e-5, f64) for every differentiable op at ranks 1-4."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,8 +146,19 @@ def test_gelu_f32_matches_f64_reference():
     assert np.all(np.abs(deriv - ref_deriv) <= bound)
 
 
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30], dtype=np.float32)
+
+
 def test_gelu_f32_special_values_match_f64_without_warnings():
-    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30], dtype=np.float32)
+    _check_special_values(SPECIAL_VALUES)
+
+
+def test_gelu_f32_special_values_warn_on_neither_thread(monkeypatch):
+    monkeypatch.setattr(nm, "_PARTS", 2)  # errstate is per thread: each part enters its own
+    _check_special_values(np.tile(SPECIAL_VALUES, 3 * nm._GELU_BLOCK // SPECIAL_VALUES.size + 1))
+
+
+def _check_special_values(x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, deriv = gelu_and_derivative(x)
@@ -447,6 +464,140 @@ def test_layernorm_and_softmax_allocate_at_most_two_full_arrays():
     sm = nm.softmax(x)
     assert _peak_full_arrays(lambda: nm.softmax(x), full) < 1.25
     assert _peak_full_arrays(lambda: sm.node.grad_fn(g.data), full) < 1.25
+
+
+# -- rows split across the helper thread ---------------------------------------
+
+
+def _tracked(*shape, seed):
+    return Tensor(f32(*shape, seed=seed), requires_grad=True)
+
+
+def _forward_and_grads(out, seed):
+    """The op's result and every gradient its backward rule returns."""
+    grads = out.node.grad_fn(f32(*out.shape, seed=seed))
+    return [out.data, *grads]
+
+
+def _split_matmul(b, t, d, heads, bias):
+    w = _tracked(d, 3 * d, seed=71)
+    args = (_tracked(3 * d, seed=72),) if bias else ()
+    return _forward_and_grads(nm.matmul(_tracked(b, t, d, seed=70), w, *args), seed=73)
+
+
+def _split_batched_matmul(b, t, d, heads, bias):
+    dh = d // heads
+    q, k = _tracked(b, heads, t, dh, seed=74), _tracked(b, heads, dh, t, seed=75)
+    args = (_tracked(t, seed=76),) if bias else ()
+    return _forward_and_grads(nm.matmul(q, k, *args), seed=77)
+
+
+SPLIT_OPS = {
+    "matmul": lambda *s: _split_matmul(*s, bias=False),
+    "matmul-bias": lambda *s: _split_matmul(*s, bias=True),
+    "matmul-batched": lambda *s: _split_batched_matmul(*s, bias=False),
+    "matmul-batched-bias": lambda *s: _split_batched_matmul(*s, bias=True),
+    "attention": lambda b, t, d, h: _forward_and_grads(
+        nm.attention(_tracked(b, t, 3 * d, seed=78), h), seed=79),
+    "gelu": lambda b, t, d, h: _forward_and_grads(nm.gelu(_tracked(b, t, 4 * d, seed=80)), seed=81),
+    "layernorm": lambda b, t, d, h: _forward_and_grads(
+        nm.layernorm(_tracked(b, t, d, seed=82), _tracked(d, seed=83), _tracked(d, seed=84)),
+        seed=85),
+    "softmax": lambda b, t, d, h: _forward_and_grads(
+        nm.softmax(_tracked(b, h, t, t, seed=86)), seed=87),
+}
+# (B, T, D, heads): the acceptance toy's blocks, ViT-T's at 96 px (dh = 64), an
+# odd row count (7·65 rows, 7 batch elements, 3 GELU blocks) and a single row
+SPLIT_SHAPES = {
+    "toy": (64, 65, 64, 4),
+    "vit-t-96": (64, 37, 192, 3),
+    "odd": (7, 65, 96, 3),
+    "one-row": (1, 1, 64, 4),
+}
+
+
+def _run_in_parts(monkeypatch, parts, fn):
+    """`fn()` with the part count set to `parts`, and the threads the parts ran on."""
+    monkeypatch.setattr(nm, "_PARTS", parts)
+    threads, split = set(), nm._split
+
+    def spy(part, *args, **kwargs):
+        def recorded(lo, hi):
+            threads.add(threading.get_ident())
+            part(lo, hi)
+
+        split(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "_split", spy)
+    try:
+        return fn(), threads
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES.values(), ids=SPLIT_SHAPES)
+@pytest.mark.parametrize("op", SPLIT_OPS)
+def test_split_and_serial_give_the_same_bytes(monkeypatch, op, shape):
+    serial, serial_threads = _run_in_parts(monkeypatch, 1, lambda: SPLIT_OPS[op](*shape))
+    split, split_threads = _run_in_parts(monkeypatch, 2, lambda: SPLIT_OPS[op](*shape))
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
+    assert [a.dtype for a in split] == [a.dtype for a in serial]
+    assert serial_threads == {threading.get_ident()}
+    assert len(split_threads) == (1 if shape == SPLIT_SHAPES["one-row"] else 2)
+
+
+def test_matmul_splits_off_no_single_row(monkeypatch):
+    # big enough to split, but a part of one row would run as a BLAS gemv
+    a, b = Tensor(f32(3, 64, seed=89)), Tensor(f32(64, 4 * nm._MIN_PART, seed=90))
+    serial, _ = _run_in_parts(monkeypatch, 1, lambda: nm.matmul(a, b).data)
+    split, _ = _run_in_parts(monkeypatch, 2, lambda: nm.matmul(a, b).data)
+    assert split.tobytes() == serial.tobytes()
+
+
+def test_an_error_in_the_helper_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(nm, "_PARTS", 2)
+    ran = []
+
+    def part(lo, hi):
+        ran.append((lo, hi))
+        if lo == 0:
+            raise FloatingPointError("first half")
+
+    with pytest.raises(FloatingPointError, match="first half"):
+        nm._split(part, 4, 4 * nm._MIN_PART)
+    assert sorted(ran) == [(0, 2), (2, 4)]
+    nm._split(lambda lo, hi: ran.append((lo, hi)), 4, 4 * nm._MIN_PART)  # still serves
+    assert sorted(ran[2:]) == [(0, 2), (2, 4)]
+
+
+def test_importing_numerics_starts_no_thread():
+    src = str(Path(nm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import threading, vitrecipe.numerics; print(threading.active_count())"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
+
+
+def _gelu_in_child(x, expected):
+    sys.exit(0 if nm.gelu(Tensor(x)).data.tobytes() == expected else 1)
+
+
+def test_a_forked_child_splits_ops_after_the_parent_did(monkeypatch):
+    monkeypatch.setattr(nm, "_PARTS", 2)
+    x = f32(3 * nm._GELU_BLOCK, seed=88)  # three GELU blocks: one on the helper, two here
+    expected = nm.gelu(Tensor(x)).data.tobytes()
+    assert "vitrecipe-numerics" in {t.name for t in threading.enumerate()}
+    child = multiprocessing.get_context("fork").Process(target=_gelu_in_child, args=(x, expected))
+    child.start()
+    child.join(60)
+    hung = child.is_alive()
+    if hung:  # its helper queues were the parent's, which no thread reads
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
 
 
 # -- tape behaviour ----------------------------------------------------------
