@@ -127,13 +127,18 @@ def test_activation_bytes_are_what_the_tape_holds(monkeypatch, config, b, dtype)
     )
 
 
+def perfbench_tracer(monkeypatch):
+    """perfbench's `Tracer` class, once the submodules it looks up are loaded."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("numerics", "model", "checkpoint", "training"):
+        importlib.import_module(f"vitrecipe.{name}")
+    return importlib.import_module("tracer").Tracer
+
+
 def test_traced_forward_macs_equal_count_flops(monkeypatch):
     # perfbench's exact MAC check counts `nm.matmul` calls, so it sees the
     # two attention products only because `nm.attention` makes them there
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    for name in ("numerics", "model", "checkpoint", "training"):  # what Tracer() looks up
-        importlib.import_module(f"vitrecipe.{name}")
-    tracer = importlib.import_module("tracer").Tracer()
+    tracer = perfbench_tracer(monkeypatch)()
     b = 64
     params = mdl.init(ACCEPTANCE_TOY, Rng(3))
     images = batch(b, ACCEPTANCE_TOY, dtype=np.float32)
@@ -148,17 +153,14 @@ def test_traced_forward_macs_equal_count_flops(monkeypatch):
 
 def test_traced_forward_records_the_same_spans_with_one_part_and_two(monkeypatch):
     # the helper thread runs raw numpy only, so a split adds no span and no MAC
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    for name in ("numerics", "model", "checkpoint", "training"):  # what Tracer() looks up
-        importlib.import_module(f"vitrecipe.{name}")
-    tracer_module = importlib.import_module("tracer")
+    tracer_class = perfbench_tracer(monkeypatch)
     b = 64
     params = mdl.init(ACCEPTANCE_TOY, Rng(3))
     images = batch(b, ACCEPTANCE_TOY, dtype=np.float32)
     spans, forwards = [], []
     for parts in (1, 2):
         monkeypatch.setattr(nm, "_PARTS", parts)
-        tracer = tracer_module.Tracer()
+        tracer = tracer_class()
         tracer.install()
         try:
             logits = mdl.forward(ACCEPTANCE_TOY, params, images, mode="train", rng=Rng(4))
