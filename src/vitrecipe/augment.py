@@ -7,8 +7,8 @@ padding. Label-space mixing (mixup/cutmix) operates on prepared float
 batches.
 
 Everything is a pure function of (input, Rng state): byte-identical
-results for a given seed on any platform. All float intermediates are
-f64 and each op rounds back to bytes exactly once, half-up.
+results for a given seed, numpy and scipy build. All float intermediates
+are f64 and each op rounds back to bytes exactly once, half-up.
 """
 
 from __future__ import annotations

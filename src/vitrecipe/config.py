@@ -37,7 +37,7 @@ class RecipeConfig:
     loss: str = "bce"
     epochs: int = 400
     train_resolution: int = 224
-    eval_resolution: int = 224
+    eval_resolution: int = 224  # recorded, never read: resolve_run overwrites it
     seed: int = 0
     dataset: str = "in1k"  # corpus tag steering per-model drop-path defaults
     # the recipe's fixed choices: LAMB, cosine decay, no dropout, no random erasing
@@ -57,8 +57,14 @@ class RecipeConfig:
             raise ParameterError("test_crop_ratio must lie in (0, 1]")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ParameterError("warmup_epochs must lie in [0, epochs)")
+        if self.lr <= 0:
+            raise ParameterError("lr must be positive")
         if self.weight_decay < 0:
             raise ParameterError("weight_decay must be non-negative")
+        if self.grad_clip <= 0:
+            raise ParameterError("grad_clip must be positive")
+        if not 0.0 <= self.color_jitter < 1.0:
+            raise ParameterError("color_jitter must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("batch_size and epochs must be at least 1")
         if self.drop_path is not None and not 0.0 <= self.drop_path < 1.0:

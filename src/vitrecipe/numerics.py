@@ -108,12 +108,11 @@ class TapeNode:
     gradients back. A handle is a leaf or untracked input itself, or the
     data-free vertex of a tracked op's output (see `_make`)."""
 
-    __slots__ = ("inputs", "grad_fn", "name")
+    __slots__ = ("inputs", "grad_fn")
 
-    def __init__(self, inputs, grad_fn, name):
+    def __init__(self, inputs, grad_fn):
         self.inputs = inputs
         self.grad_fn = grad_fn
-        self.name = name
 
 
 class Tensor:
@@ -157,7 +156,7 @@ def _handle(t: Tensor) -> Tensor:
     return t if t.vertex is None else t.vertex
 
 
-def _make(out_data, inputs, grad_fn, name) -> Tensor:
+def _make(out_data, inputs, grad_fn) -> Tensor:
     """Wrap an op's result; under tracking, record it on the tape.
 
     The node holds the inputs' handles and `grad_fn`, and `grad_fn` holds
@@ -171,7 +170,7 @@ def _make(out_data, inputs, grad_fn, name) -> Tensor:
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.node = out.vertex = None
     if out.requires_grad:
-        out.node = TapeNode(tuple(_handle(t) for t in inputs), grad_fn, name)
+        out.node = TapeNode(tuple(_handle(t) for t in inputs), grad_fn)
         out.vertex = Tensor(np.empty(0, out_data.dtype), requires_grad=True)
         out.vertex.node = out.node
     return out
@@ -189,7 +188,7 @@ def _sum_to_rank1(g: np.ndarray) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,15 +206,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         gb = g * a_data
         return ga, _sum_to_rank1(gb) if broadcast else gb
 
-    return _make(out, (a, b), grad_fn, "mul")
+    return _make(out, (a, b), grad_fn)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    return _make(a.data * s, (a,), lambda g: (g * s,), "scale")
+    return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
 # -- matmul ---------------------------------------------------------------
@@ -258,6 +257,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     a_data, b_data = a.data, b.data
     has_bias = bias is not None
     bias_data = bias.data if has_bias else None
+    parts = 2 if a.requires_grad else 1  # 1: aᵀ·g alone, as for the patchified images
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a_data, b_data))
 
     def part(lo, hi):
@@ -282,11 +282,11 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             if hi == 2:
                 grads[1] = g @ b_data.swapaxes(-1, -2)
 
-        _split(task, 2, g.size)
+        _split(task, parts, g.size)
         gb, ga = grads
         return (ga, gb, _sum_to_rank1(g)) if has_bias else (ga, gb)
 
-    return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn, "matmul")
+    return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn)
 
 
 def attention(qkv: Tensor, num_heads: int) -> Tensor:
@@ -344,7 +344,7 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
         _split(part, b, p.size)
         return (grad.reshape(b, t, width),)
 
-    return _make(out, (qkv,), grad_fn, "attention")
+    return _make(out, (qkv,), grad_fn)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -353,7 +353,7 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.shape
     out = a.data.reshape(shape)
-    return _make(out, (a,), lambda g: (g.reshape(old),), "reshape")
+    return _make(out, (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -361,7 +361,7 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
         raise DimensionError(f"transpose: {len(axes)} axes for rank-{a.ndim} tensor")
     inverse = tuple(int(i) for i in np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
-    return _make(out, (a,), lambda g: (g.transpose(inverse),), "transpose")
+    return _make(out, (a,), lambda g: (g.transpose(inverse),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -384,7 +384,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    return _make(out, (a,), grad_fn, "narrow")
+    return _make(out, (a,), grad_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -403,7 +403,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             offset += e
         return tuple(grads)
 
-    return _make(out, tuple(tensors), grad_fn, "concat")
+    return _make(out, tuple(tensors), grad_fn)
 
 
 def expand_batch(a: Tensor, batch: int) -> Tensor:
@@ -411,7 +411,7 @@ def expand_batch(a: Tensor, batch: int) -> Tensor:
     if a.ndim < 1 or a.shape[0] != 1:
         raise DimensionError(f"expand_batch: leading extent must be 1, got {a.shape}")
     out = np.ascontiguousarray(np.broadcast_to(a.data, (batch,) + a.shape[1:]))
-    return _make(out, (a,), lambda g: (g.sum(axis=0, keepdims=True),), "expand_batch")
+    return _make(out, (a,), lambda g: (g.sum(axis=0, keepdims=True),))
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -422,7 +422,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full(shape, g, dtype=dtype),)
 
-    return _make(out, (a,), grad_fn, "sum")
+    return _make(out, (a,), grad_fn)
 
 
 # -- normalization and activations -----------------------------------------
@@ -486,7 +486,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
         return gx, _sum_to_rank1(tmp), _sum_to_rank1(gs)
 
     out = out.reshape(x.shape)
-    return _make(out, (x, gamma, beta), grad_fn, "layernorm")
+    return _make(out, (x, gamma, beta), grad_fn)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -500,7 +500,7 @@ def softmax(x: Tensor) -> Tensor:
         np.multiply(out, gx, out=gx)
         return (gx,)
 
-    return _make(out, (x,), grad_fn, "softmax")
+    return _make(out, (x,), grad_fn)
 
 
 def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -530,7 +530,7 @@ def log_softmax(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _make(out, (x,), grad_fn, "log_softmax")
+    return _make(out, (x,), grad_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -552,7 +552,7 @@ def gelu(x: Tensor) -> Tensor:
         deriv = None
         if x.requires_grad:
             deriv = phi + x.data * (np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI)
-    return _make(out, (x,), lambda g: (g * deriv,), "gelu")
+    return _make(out, (x,), lambda g: (g * deriv,))
 
 
 # Abramowitz & Stegun 7.1.26: erfc(z) ≈ (a1·t + a2·t² + … + a5·t⁵)·exp(-z²)
@@ -631,7 +631,7 @@ def log_sigmoid(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * expit(-x_data),)
 
-    return _make(out.astype(x.data.dtype, copy=False), (x,), grad_fn, "log_sigmoid")
+    return _make(out.astype(x.data.dtype, copy=False), (x,), grad_fn)
 
 
 def drop_path_scale(x: Tensor, keep_mask: np.ndarray, scale_factor: float) -> Tensor:
@@ -648,7 +648,7 @@ def drop_path_scale(x: Tensor, keep_mask: np.ndarray, scale_factor: float) -> Te
         )
     factor = (keep_mask * scale_factor).reshape((x.shape[0],) + (1,) * (x.ndim - 1))
     out = x.data * factor
-    return _make(out, (x,), lambda g: (g * factor,), "drop_path_scale")
+    return _make(out, (x,), lambda g: (g * factor,))
 
 
 # -- backward ---------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Deterministic random numbers from the splitmix64 sequence.
 
 Every stochastic choice in the package (augmentation, init, sampling)
-goes through `Rng` so that a 64-bit seed fixes the result on any
-platform.  No numpy global state is touched.
+goes through `Rng` so that a 64-bit seed fixes the result for a given
+numpy and scipy build.  No numpy global state is touched.  Two draws
+are shaped: the truncated normal of weight init (Box-Muller, rejecting
+past 2 sigma) and the Beta of the mixup/CutMix lambda (inverse CDF).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import betaincinv
 
 from .errors import ParameterError
 
@@ -88,50 +89,23 @@ class Rng:
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniforms."""
-        u1 = max(self.uniform(), _U53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def normal_array(self, n: int) -> np.ndarray:
-        u = self.uniform_array(2 * n)
-        u1 = np.maximum(u[0::2], _U53)
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
     def truncated_normal_array(self, n: int, std: float) -> np.ndarray:
-        """Normal(0, std) with draws outside 2 sigma rejected and redrawn."""
+        """Normal(0, std) by Box-Muller on uniform pairs, with draws outside
+        2 sigma rejected and redrawn."""
         out = np.empty(n, dtype=np.float64)
         filled = 0
         while filled < n:
-            z = self.normal_array(n - filled)
+            u = self.uniform_array(2 * (n - filled))
+            u1 = np.maximum(u[0::2], _U53)
+            u2 = u[1::2]
+            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
             z = z[np.abs(z) <= 2.0]
             out[filled : filled + len(z)] = z
             filled += len(z)
         return out * std
 
-    def gamma(self, shape: float) -> float:
-        """Gamma(shape, 1) via Marsaglia-Tsang, boosted for shape < 1."""
-        if shape <= 0.0:
-            raise ParameterError(f"gamma shape must be positive, got {shape}")
-        if shape < 1.0:
-            u = max(self.uniform(), _U53)
-            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = (1.0 + c * x) ** 3
-            if v <= 0.0:
-                continue
-            u = max(self.uniform(), _U53)
-            if u < 1.0 - 0.0331 * x**4:
-                return d * v
-            if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
-
     def beta(self, a: float, b: float) -> float:
-        ga = self.gamma(a)
-        gb = self.gamma(b)
-        return ga / (ga + gb)
+        """Beta(a, b) by inverse CDF; consumes exactly one state."""
+        if a <= 0.0 or b <= 0.0:
+            raise ParameterError(f"beta needs positive shapes, got {a} and {b}")
+        return float(betaincinv(a, b, self.uniform()))

@@ -1,6 +1,8 @@
 """Recipe presets (key-by-key snapshots) and config file parsing."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,25 @@ def test_coupling_rule_combinations_are_constructible():
     cfg.RecipeConfig(crop_mode="src", repeated_aug=True)
 
 
+# ROADMAP item 6: `resolve_run` overwrites it and `evaluate` runs at the model's size
+UNREAD_KEYS = {"eval_resolution"}
+
+
+def test_every_recipe_key_is_read_outside_config():
+    """A knob must have an effect: each key is read as `recipe.<key>` in some
+    package module other than config.py (checked on the syntax tree)."""
+    read = set()
+    for path in Path(cfg.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id == "recipe"):
+                read.add(node.attr)
+    keys = {f.name for f in dataclasses.fields(cfg.RecipeConfig)}
+    assert keys - read == UNREAD_KEYS
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -115,6 +136,11 @@ def test_coupling_rule_combinations_are_constructible():
         {"dataset": "jft"},
         {"warmup_epochs": -2, "epochs": 4},
         {"weight_decay": -0.1},
+        {"lr": 0.0},
+        {"grad_clip": 0.0},
+        {"grad_clip": -1.0},
+        {"color_jitter": 1.0},
+        {"color_jitter": -0.1},
     ],
 )
 def test_recipe_validation_rejects(kwargs):

@@ -176,6 +176,26 @@ def test_traced_forward_records_the_same_spans_with_one_part_and_two(monkeypatch
         assert macs == expected == mdl.count_flops(ACCEPTANCE_TOY, 32) * b
 
 
+def test_untracked_images_skip_their_gradient_and_keep_the_parameter_bytes():
+    # the patch projection computes no g·Wᵀ for images that take no gradient;
+    # every parameter gradient has the bytes of a backward that computes it
+    params = mdl.init(ACCEPTANCE_TOY, Rng(3))
+    grads = []
+    for images_need_grad in (False, True):
+        images = batch(64, ACCEPTANCE_TOY, dtype=np.float32)
+        images.requires_grad = images_need_grad
+        for p in params.values():
+            p.zero_grad()
+        logits = mdl.forward(ACCEPTANCE_TOY, params, images, mode="train", rng=Rng(4))
+        nm.backward(nm.tensor_sum(logits))
+        assert (images.grad is not None) == images_need_grad
+        grads.append({name: p.grad.tobytes() for name, p in params.items()})
+    assert grads[0] == grads[1]
+    w = Tensor(np.ones((3, 4), np.float32), requires_grad=True)
+    ga, gw = nm.matmul(Tensor(np.ones((2, 5, 3))), w).node.grad_fn(np.ones((2, 5, 4), np.float32))
+    assert ga is None and gw.shape == (3, 4)
+
+
 def test_token_counts_160_vs_224():
     assert mdl.num_patches(160, 16) == 100
     assert mdl.num_patches(224, 16) == 196
