@@ -9,6 +9,12 @@ batches.
 Everything is a pure function of (input, Rng state): byte-identical
 results for a given seed, numpy and scipy build. All float intermediates
 are f64 and each op rounds back to bytes exactly once, half-up.
+
+The f64 ops work in place on per-call scratch, a block of whole rows at a
+time (see `_row_blocks`), and broadcast along full rows rather than over
+the 3-channel axis. Each output value is the same chain of IEEE
+operations as the plain whole-image formula in the docstring or comment
+beside it, so the bytes do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ from .rng import Rng
 
 # BT.601 luma weights
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64)
+
+# f64 elements in one block of rows of scratch (256 KiB): an op's few block
+# arrays stay in a core's cache, and blocks freed by one call are reused by
+# the next instead of faulting in fresh pages as whole-image arrays do
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -67,11 +78,26 @@ class AugmentPolicy:
             raise ParameterError(f"crop_mode must be rrc or src, got {self.crop_mode!r}")
         if not 0.0 <= self.hflip_prob <= 1.0:
             raise ParameterError("hflip_prob must lie in [0, 1]")
+        if not 0.0 <= self.color_jitter_strength < 1.0:
+            raise ParameterError("color_jitter_strength must lie in [0, 1)")
+        if self.train_resolution < 1:
+            raise ParameterError("train_resolution must be at least 1")
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
-    """Round half-up and clamp to byte range."""
-    return np.clip(np.floor(x + 0.5), 0.0, 255.0).astype(np.uint8)
+    """Round half-up and clamp to byte range. Works in place: `x` must be
+    the caller's own f64 scratch, and is spent."""
+    np.add(x, 0.5, out=x)
+    np.floor(x, out=x)
+    x.clip(0.0, 255.0, out=x)
+    return x.astype(np.uint8)
+
+
+def _row_blocks(height: int, row_elements: int) -> list:
+    """Slices covering `height` rows of `row_elements` values each, in
+    blocks of about _BLOCK_ELEMENTS values (at least one row)."""
+    step = max(1, _BLOCK_ELEMENTS // row_elements)
+    return [slice(r0, min(height, r0 + step)) for r0 in range(0, height, step)]
 
 
 def _reflect_indices(n: int, pad: int) -> np.ndarray:
@@ -94,40 +120,68 @@ def reflect_pad(img: ImageU8, pad: int) -> ImageU8:
     return ImageU8(np.ascontiguousarray(img.pixels[rows][:, cols]))
 
 
-def _resize_axis(data: np.ndarray, n_out: int, axis: int) -> np.ndarray:
-    """Bilinear resample of one axis; half-pixel-center coordinate mapping."""
-    n_in = data.shape[axis]
-    if n_out == n_in:
-        return data
+def _taps(n_in: int, n_out: int):
+    """Bilinear source indices (lo, hi) and hi's weight for each of n_out
+    positions along an axis; half-pixel-center coordinate mapping."""
     scale = n_in / n_out
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * scale - 0.5
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
-    lo = np.take(data, np.clip(i0, 0, n_in - 1), axis=axis)
-    hi = np.take(data, np.clip(i0 + 1, 0, n_in - 1), axis=axis)
-    shape = [1] * data.ndim
-    shape[axis] = n_out
-    w = frac.reshape(shape)
-    return lo * (1.0 - w) + hi * w
+    return i0.clip(0, n_in - 1), (i0 + 1).clip(0, n_in - 1), frac
+
+
+def _lerp(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """lo * (1 - w) + hi * w, in place on the fresh 2-D gathers lo and hi
+    (bytes are cast to f64 first, exactly); w broadcasts along whole rows."""
+    lo = lo.astype(np.float64, copy=False)
+    hi = hi.astype(np.float64, copy=False)
+    lo *= 1.0 - w
+    hi *= w
+    lo += hi
+    return lo
 
 
 def resize_bilinear(img: ImageU8, out_h: int, out_w: int) -> ImageU8:
+    """Bilinear resample, the rows and then the columns of the result, each
+    axis skipped when its extent is unchanged; one block of output rows at
+    a time, each row as its w * 3 values. `img` may be a strided view."""
     if out_h < 1 or out_w < 1:
         raise ParameterError("resize extents must be at least 1")
-    data = img.pixels.astype(np.float64)
-    data = _resize_axis(data, out_h, axis=0)
-    data = _resize_axis(data, out_w, axis=1)
-    return ImageU8(_round_u8(data))
+    h, w = img.height, img.width
+    if (out_h, out_w) == (h, w):
+        return ImageU8(img.pixels.copy())
+    flat = img.pixels.reshape(h, w * 3)
+    row_lo, row_hi, row_w = _taps(h, out_h)
+    col_lo, col_hi, col_w = _taps(w, out_w)
+    # each column tap and weight for its 3 values
+    col_lo, col_hi = ((3 * i[:, None] + np.arange(3)).ravel() for i in (col_lo, col_hi))
+    col_w = np.repeat(col_w, 3)
+    out = np.empty((out_h, out_w * 3), dtype=np.uint8)
+    for rows in _row_blocks(out_h, 3 * max(w, out_w)):
+        block = flat[rows]
+        if out_h != h:
+            block = _lerp(flat[row_lo[rows]], flat[row_hi[rows]], row_w[rows, None])
+        if out_w != w:
+            block = _lerp(np.take(block, col_lo, axis=1), np.take(block, col_hi, axis=1), col_w)
+        out[rows] = _round_u8(block)
+    return ImageU8(out.reshape(out_h, out_w, 3))
 
 
 def hflip(img: ImageU8) -> ImageU8:
-    return ImageU8(np.ascontiguousarray(img.pixels[:, ::-1, :]))
+    out = np.empty_like(img.pixels)
+    for c in range(3):  # by plane: a copy whose inner axis is the 3 channels is slow
+        out[:, :, c] = img.pixels[:, ::-1, c]
+    return ImageU8(out)
 
 
 def grayscale(img: ImageU8) -> ImageU8:
-    luma = img.pixels.astype(np.float64) @ _LUMA
-    byte = _round_u8(luma)
-    return ImageU8(np.repeat(byte[:, :, None], 3, axis=2))
+    # _round_u8(pixels.astype(f64) @ _LUMA) in every channel, by row blocks
+    out = np.empty_like(img.pixels)
+    for rows in _row_blocks(img.height, 3 * img.width):
+        luma = _round_u8(img.pixels[rows].astype(np.float64) @ _LUMA)
+        for c in range(3):
+            out[rows, :, c] = luma
+    return ImageU8(out)
 
 
 def solarize(img: ImageU8, threshold: int) -> ImageU8:
@@ -143,17 +197,43 @@ def gaussian_blur(img: ImageU8, sigma: float) -> ImageU8:
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
 
-    data = img.pixels.astype(np.float64)
-    h, w = data.shape[:2]
-    padded = data[_reflect_indices(h, radius)]
-    acc = np.zeros_like(data)
-    for j in range(2 * radius + 1):
-        acc += kernel[j] * padded[j : j + h]
-    padded = acc[:, _reflect_indices(w, radius)]
-    acc = np.zeros_like(data)
-    for j in range(2 * radius + 1):
-        acc += kernel[j] * padded[:, j : j + w]
-    return ImageU8(_round_u8(acc))
+    # Vertical then horizontal: each pass is acc = sum_j kernel[j] *
+    # padded[j : j + n] along its axis, with reflect padding, a block of
+    # output rows at a time; the block's vertical sums are padded
+    # horizontally in `wide`.
+    h, w = img.height, img.width
+    taps = len(kernel)
+    rows = img.pixels[_reflect_indices(h, radius)]
+    cols = _reflect_indices(w, radius) + radius
+    blocks = _row_blocks(h, 3 * (w + 2 * radius))
+    n = blocks[0].stop
+    tall = np.empty((n + 2 * radius, w, 3))
+    wide = np.empty((n, w + 2 * radius, 3))
+    acc = np.empty((n, w, 3))
+    tmp = np.empty((n, w, 3))
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    for block in blocks:
+        m = block.stop - block.start
+        padded = tall[: m + 2 * radius]
+        np.copyto(padded, rows[block.start : block.stop + 2 * radius])
+        _convolve(kernel, [padded[j : j + m] for j in range(taps)], acc[:m], tmp[:m])
+        padded = wide[:m]
+        padded[:, radius : radius + w] = acc[:m]
+        padded[:, :radius] = padded[:, cols[:radius]]
+        padded[:, radius + w :] = padded[:, cols[radius + w :]]
+        _convolve(kernel, [padded[:, j : j + w] for j in range(taps)], acc[:m], tmp[:m])
+        out[block] = _round_u8(acc[:m])
+    return ImageU8(out)
+
+
+def _convolve(kernel: np.ndarray, windows: list, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """acc = sum_j kernel[j] * windows[j], summed in order through the
+    product buffer tmp. It starts from the first product, not from zeros:
+    0 + y is y for the y >= 0 here."""
+    np.multiply(windows[0], kernel[0], out=acc)
+    for k, window in zip(kernel[1:], windows[1:]):
+        np.multiply(window, k, out=tmp)
+        acc += tmp
 
 
 def color_jitter(
@@ -172,13 +252,45 @@ def color_jitter(
         factors = (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
     f_bright, f_contrast, f_sat = factors
 
-    x = img.pixels.astype(np.float64)
-    x = np.clip(x * f_bright, 0.0, 255.0)
-    mean_luma = (x @ _LUMA).mean()
-    x = np.clip(mean_luma + f_contrast * (x - mean_luma), 0.0, 255.0)
-    luma = (x @ _LUMA)[:, :, None]
-    x = np.clip(luma + f_sat * (x - luma), 0.0, 255.0)
-    return ImageU8(_round_u8(x))
+    # x = clip(pixels * f_bright); m = mean(x @ _LUMA)
+    # x = clip(m + f_contrast * (x - m)); l = x @ _LUMA
+    # x = clip(l + f_sat * (x - l)). The first two stages depend on a byte
+    # alone, so each makes a 256-entry table; the rest runs in place by row
+    # blocks, with each product and sum in the other operand order.
+    h, w = img.height, img.width
+    bright = np.arange(256, dtype=np.float64) * f_bright
+    bright.clip(0.0, 255.0, out=bright)
+    blocks = _row_blocks(h, 3 * w)
+    x = np.empty((blocks[0].stop, w, 3))
+    planes = np.empty_like(x)  # a block's luma, once per channel
+    luma = np.empty((h, w))
+    for rows in blocks:
+        np.matmul(_lookup(bright, img.pixels[rows], x), _LUMA, out=luma[rows])
+    mean_luma = luma.mean()
+    contrast = bright - mean_luma
+    contrast *= f_contrast
+    contrast += mean_luma
+    contrast.clip(0.0, 255.0, out=contrast)
+    out = np.empty_like(img.pixels)
+    for rows in blocks:
+        xb = _lookup(contrast, img.pixels[rows], x)
+        lb = planes[: len(xb)]
+        block_luma = np.matmul(xb, _LUMA, out=luma[rows])
+        for c in range(3):
+            lb[:, :, c] = block_luma
+        xb -= lb
+        xb *= f_sat
+        xb += lb
+        xb.clip(0.0, 255.0, out=xb)
+        out[rows] = _round_u8(xb)
+    return ImageU8(out)
+
+
+def _lookup(table: np.ndarray, pixels: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """table[pixels] written to the front of `scratch`. Bytes index a
+    256-entry table in range, and mode "wrap" skips take's buffered check."""
+    out = scratch[: len(pixels)]
+    return np.take(table, pixels.astype(np.intp), out=out, mode="wrap")
 
 
 def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
@@ -223,8 +335,7 @@ def random_resized_crop(
         if 0 < cw <= w and 0 < ch <= h:
             x0 = rng.randint(w - cw + 1)
             y0 = rng.randint(h - ch + 1)
-            crop = ImageU8(np.ascontiguousarray(img.pixels[y0 : y0 + ch, x0 : x0 + cw]))
-            return resize_bilinear(crop, out, out)
+            return resize_bilinear(ImageU8(img.pixels[y0 : y0 + ch, x0 : x0 + cw]), out, out)
     # fallback: centered crop at the nearest admissible aspect ratio
     in_ratio = w / h
     if in_ratio < ratio_range[0]:
@@ -237,8 +348,7 @@ def random_resized_crop(
         cw, ch = w, h
     x0 = (w - cw) // 2
     y0 = (h - ch) // 2
-    crop = ImageU8(np.ascontiguousarray(img.pixels[y0 : y0 + ch, x0 : x0 + cw]))
-    return resize_bilinear(crop, out, out)
+    return resize_bilinear(ImageU8(img.pixels[y0 : y0 + ch, x0 : x0 + cw]), out, out)
 
 
 def _resize_smallest_side(img: ImageU8, target: int) -> ImageU8:
@@ -295,7 +405,13 @@ def mixup(
         if alpha <= 0:
             raise ParameterError("mixup alpha must be positive when enabled")
         lam = rng.beta(alpha, alpha)
-    images = lam * batch_a + (1.0 - lam) * batch_b
+    # lam * a + (1 - lam) * b with that expression's dtypes; the partner's
+    # product is made one sample at a time, in a reused one-sample buffer
+    images = np.multiply(lam, batch_a)
+    partner = (1.0 - lam) * batch_b[:1]
+    for row, b in zip(images, batch_b):
+        np.multiply(1.0 - lam, b, out=partner[0])
+        row += partner[0]
     targets = lam * targets_a + (1.0 - lam) * targets_b
     return images.astype(batch_a.dtype, copy=False), targets
 

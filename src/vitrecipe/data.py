@@ -17,7 +17,7 @@ from typing import ClassVar, List, Tuple
 
 import numpy as np
 
-from .augment import ImageU8
+from .augment import ImageU8, _round_u8, _row_blocks
 from .errors import FormatError, ParameterError
 from .rng import Rng, derive_seed
 
@@ -34,6 +34,12 @@ _MAGIC = b"IMG1"
 
 IMAGENET_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float64)
 IMAGENET_STD = np.array([0.229, 0.224, 0.225], dtype=np.float64)
+# normalize's value of each byte in each channel: (byte / 255 - mean) / std
+# in f64, rounded to f32; shape (3, 256)
+_STANDARDIZED = (
+    ((np.arange(256, dtype=np.float64) / 255.0)[:, None] - IMAGENET_MEAN) / IMAGENET_STD
+).T.astype(np.float32)
+_STANDARDIZED.setflags(write=False)
 
 
 # -- IMG1 files -------------------------------------------------------------
@@ -52,13 +58,12 @@ def load_image(path) -> ImageU8:
     if channels != 3:
         raise FormatError(f"{path}: unsupported channel count {channels}")
     expected = width * height * 3
-    payload = raw[16:]
-    if len(payload) != expected:
+    if len(raw) - 16 != expected:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
+            f"{path}: payload is {len(raw) - 16} bytes, header promises {expected}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return ImageU8(pixels.copy())
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=16)
+    return ImageU8(pixels.reshape(height, width, 3).copy())
 
 
 # -- manifests ----------------------------------------------------------------
@@ -209,7 +214,7 @@ def synth_image(spec: SynthSpec, class_index: int, sample_index: int) -> ImageU8
     if spec.noise > 0:
         rng = Rng(derive_seed(spec.seed, TAG_SYNTH, class_index, sample_index))
         canvas = canvas + rng.uniform_array(r * r, -spec.noise, spec.noise).reshape(r, r)
-    byte = np.clip(np.floor(canvas + 0.5), 0.0, 255.0).astype(np.uint8)
+    byte = _round_u8(canvas)
     return ImageU8(np.repeat(byte[:, :, None], 3, axis=2))
 
 
@@ -233,7 +238,14 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
 
 
 def normalize(img: ImageU8) -> np.ndarray:
-    """(H, W, 3) bytes -> (3, H, W) float32, ImageNet-standardized."""
-    x = img.pixels.astype(np.float64) / 255.0
-    x = (x - IMAGENET_MEAN) / IMAGENET_STD
-    return np.ascontiguousarray(x.transpose(2, 0, 1)).astype(np.float32)
+    """(H, W, 3) bytes -> (3, H, W) float32, ImageNet-standardized.
+
+    The f32 value depends on a channel's byte alone, so each channel plane
+    is a lookup in that channel's row of _STANDARDIZED, by row blocks; the
+    bytes are those of the whole-image formula."""
+    out = np.empty((3, img.height, img.width), dtype=np.float32)
+    for rows in _row_blocks(img.height, img.width):
+        for c in range(3):
+            index = img.pixels[rows, :, c].astype(np.intp)
+            np.take(_STANDARDIZED[c], index, out=out[c, rows], mode="wrap")
+    return out

@@ -1,7 +1,12 @@
 """Augmentation oracles: hand tables, brute-force convolution and
-pixel-count references, and seeded-draw statistics."""
+pixel-count references, seeded-draw statistics, byte pins against the
+whole-image formulas, and bounds on each op's scratch memory."""
 
+import hashlib
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vitrecipe import augment as aug
+from vitrecipe import config as cfg
+from vitrecipe import data as dat
+from vitrecipe import training as trn
 from vitrecipe.augment import AugmentPolicy, ImageU8
 from vitrecipe.errors import DimensionError, ParameterError
 from vitrecipe.rng import Rng
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -452,6 +462,21 @@ def test_resize_bilinear_constant_stays_constant():
     assert np.all(out.pixels == np.array([77, 140, 203], dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"color_jitter_strength": 1.5},
+        {"color_jitter_strength": 1.0},
+        {"color_jitter_strength": -0.1},
+        {"train_resolution": 0},
+        {"train_resolution": -3},
+    ],
+)
+def test_policy_rejects_bad_values_at_construction(kwargs):
+    with pytest.raises(ParameterError):
+        AugmentPolicy(**kwargs)
+
+
 def test_imageu8_validation():
     with pytest.raises(DimensionError):
         ImageU8(np.zeros((4, 4), dtype=np.uint8))
@@ -461,3 +486,215 @@ def test_imageu8_validation():
         AugmentPolicy(crop_mode="center")
     with pytest.raises(ParameterError):  # one spelling, the recipe's
         AugmentPolicy(crop_mode="RRC")
+
+
+# -- byte pins: each op against a local copy of the whole-image formula ---------------
+# The ops run in place by row blocks; these copies are the plain formulas
+# they replaced, and the bytes must be the same.
+
+
+def ref_resize_axis(data, n_out, axis):
+    n_in = data.shape[axis]
+    if n_out == n_in:
+        return data
+    scale = n_in / n_out
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) * scale - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    lo = np.take(data, np.clip(i0, 0, n_in - 1), axis=axis)
+    hi = np.take(data, np.clip(i0 + 1, 0, n_in - 1), axis=axis)
+    shape = [1] * data.ndim
+    shape[axis] = n_out
+    w = frac.reshape(shape)
+    return lo * (1.0 - w) + hi * w
+
+
+def ref_resize(pixels, out_h, out_w):
+    data = pixels.astype(np.float64)
+    data = ref_resize_axis(data, out_h, axis=0)
+    data = ref_resize_axis(data, out_w, axis=1)
+    return round_half_up(data)
+
+
+def ref_blur(pixels, sigma):
+    radius = math.ceil(3.0 * sigma)
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    data = pixels.astype(np.float64)
+    h, w = data.shape[:2]
+    padded = data[aug._reflect_indices(h, radius)]
+    acc = np.zeros_like(data)
+    for j in range(2 * radius + 1):
+        acc += kernel[j] * padded[j : j + h]
+    padded = acc[:, aug._reflect_indices(w, radius)]
+    acc = np.zeros_like(data)
+    for j in range(2 * radius + 1):
+        acc += kernel[j] * padded[:, j : j + w]
+    return round_half_up(acc)
+
+
+def ref_jitter(pixels, factors):
+    f_bright, f_contrast, f_sat = factors
+    x = pixels.astype(np.float64)
+    x = np.clip(x * f_bright, 0.0, 255.0)
+    mean_luma = (x @ aug._LUMA).mean()
+    x = np.clip(mean_luma + f_contrast * (x - mean_luma), 0.0, 255.0)
+    luma = (x @ aug._LUMA)[:, :, None]
+    x = np.clip(luma + f_sat * (x - luma), 0.0, 255.0)
+    return round_half_up(x)
+
+
+# (h, w) sources: square at the in1k shapes, tall, wide, one pixel; each
+# spans one or several row blocks, with a short last block
+PIN_SHAPES = [(224, 224), (256, 256), (300, 20), (10, 2000), (1, 1), (37, 91)]
+
+
+@pytest.mark.parametrize(
+    "h, w, out_h, out_w",
+    [
+        (256, 256, 224, 224),  # down
+        (40, 52, 224, 224),  # up
+        (224, 224, 224, 224),  # same size
+        (64, 48, 64, 96),  # one axis unchanged
+        (1, 1, 5, 7),  # from one pixel
+        (7, 5, 1, 1),  # to one pixel
+        (30, 80, 17, 45),  # non-square both ways
+        (10, 2000, 300, 15),
+    ],
+)
+def test_resize_pins_the_whole_image_formula(h, w, out_h, out_w):
+    img = random_image(h, w, seed=h * 7 + w)
+    np.testing.assert_array_equal(
+        aug.resize_bilinear(img, out_h, out_w).pixels, ref_resize(img.pixels, out_h, out_w)
+    )
+
+
+@pytest.mark.parametrize("out, crop_ratio", [(224, 0.875), (96, 0.9), (32, 1.0)])
+def test_eval_preprocess_pins_the_whole_image_formula(out, crop_ratio):
+    img = random_image(180, 256, seed=41)
+    target = int(math.floor(out / crop_ratio + 0.5))
+    nw = int(math.floor(256 * target / 180 + 0.5))
+    resized = ref_resize(img.pixels, target, nw)
+    x0, y0 = (nw - out) // 2, (target - out) // 2
+    np.testing.assert_array_equal(
+        aug.eval_preprocess(img, out, crop_ratio).pixels,
+        resized[y0 : y0 + out, x0 : x0 + out],
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.77, 2.0])
+@pytest.mark.parametrize("h, w", PIN_SHAPES)
+def test_blur_pins_the_whole_image_formula(sigma, h, w):
+    img = random_image(h, w, seed=h + w)
+    np.testing.assert_array_equal(aug.gaussian_blur(img, sigma).pixels, ref_blur(img.pixels, sigma))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (1e-6, 1e-6, 1e-6),  # strength just under 1: the extreme factors
+        (1.999999, 1.999999, 1.999999),
+        (1e-6, 1.999999, 1e-6),
+        (1.999999, 1e-6, 1.999999),
+        (1.0, 1.0, 1.0),
+        (0.83, 1.17, 0.91),
+    ],
+)
+@pytest.mark.parametrize("h, w", PIN_SHAPES)
+def test_jitter_pins_the_whole_image_formula(factors, h, w):
+    img = random_image(h, w, seed=3 * h + w)
+    out = aug.color_jitter(img, 0.0, Rng(0), factors=factors).pixels
+    np.testing.assert_array_equal(out, ref_jitter(img.pixels, factors))
+
+
+@pytest.mark.parametrize("h, w", PIN_SHAPES)
+def test_grayscale_and_flip_pin_the_whole_image_formula(h, w):
+    img = random_image(h, w, seed=5 * h + w)
+    luma = round_half_up(img.pixels.astype(np.float64) @ aug._LUMA)
+    np.testing.assert_array_equal(aug.grayscale(img).pixels, np.repeat(luma[:, :, None], 3, axis=2))
+    np.testing.assert_array_equal(aug.hflip(img).pixels, img.pixels[:, ::-1, :])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lam", [None, 0.0, 1.0, 0.3, np.float64(0.3), np.float32(0.3)])
+def test_mixup_pins_the_whole_batch_formula(dtype, lam):
+    gen = np.random.default_rng(42)
+    a, b = (gen.normal(size=(5, 3, 16, 16)).astype(dtype) for _ in range(2))
+    ya, yb = one_hot_rows([0, 1, 2, 3, 0]), one_hot_rows([3, 2, 1, 0, 1])
+    images, targets = aug.mixup(a, b, ya, yb, 0.8, Rng(9), lam=lam)
+    drawn = Rng(9).beta(0.8, 0.8) if lam is None else lam
+    expected = (drawn * a + (1.0 - drawn) * b).astype(dtype, copy=False)
+    assert images.dtype == expected.dtype
+    np.testing.assert_array_equal(images, expected)
+    np.testing.assert_array_equal(targets, drawn * ya + (1.0 - drawn) * yb)
+
+
+def test_cutmix_pins_the_whole_batch_formula():
+    gen = np.random.default_rng(43)
+    a, b = (gen.normal(size=(4, 3, 32, 32)).astype(np.float32) for _ in range(2))
+    ya, yb = one_hot_rows([0, 1, 2, 3]), one_hot_rows([3, 2, 1, 0])
+    for seed in range(10):
+        images, targets = aug.cutmix(a, b, ya, yb, 1.0, Rng(seed))
+        rng = Rng(seed)
+        bw = int(math.floor(32 * math.sqrt(max(0.0, 1.0 - rng.beta(1.0, 1.0))) + 0.5))
+        cx, cy = rng.randint(32), rng.randint(32)
+        x0, x1 = max(0, cx - bw // 2), min(32, cx - bw // 2 + bw)
+        y0, y1 = max(0, cy - bw // 2), min(32, cy - bw // 2 + bw)
+        expected = a.copy()
+        expected[:, :, y0:y1, x0:x1] = b[:, :, y0:y1, x0:x1]
+        lam_adj = 1.0 - max(0, x1 - x0) * max(0, y1 - y0) / 1024.0
+        np.testing.assert_array_equal(images, expected)
+        np.testing.assert_array_equal(targets, lam_adj * ya + (1.0 - lam_adj) * yb)
+
+
+# -- scratch memory: the peak of one call at 224 px, in f64 images --------------------
+
+F64_IMAGE = 224 * 224 * 3 * 8
+
+
+def peak_in_f64_images(call):
+    call()  # first-call set-up is not the op's scratch
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / F64_IMAGE
+    finally:
+        tracemalloc.stop()
+
+
+# Peaks before the ops ran by row blocks: resize 5.94, random_resized_crop
+# 4.94, jitter 3.39, blur 5.05, grayscale 1.33.
+SCRATCH_BOUNDS = {
+    "resize": (lambda img, src: aug.resize_bilinear(src, 224, 224), 1.5),
+    "random_resized_crop": (lambda img, src: aug.random_resized_crop(src, 224, Rng(5)), 1.5),
+    "color_jitter": (lambda img, src: aug.color_jitter(img, 0.3, Rng(1)), 1.5),
+    "gaussian_blur": (lambda img, src: aug.gaussian_blur(img, 2.0), 1.5),
+    "grayscale": (lambda img, src: aug.grayscale(img), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRATCH_BOUNDS))
+def test_ops_keep_their_scratch_to_row_blocks(name):
+    call, bound = SCRATCH_BOUNDS[name]
+    img, src = random_image(224, 224, seed=44), random_image(256, 256, seed=45)
+    assert peak_in_f64_images(lambda: call(img, src)) < bound
+
+
+# -- the benchmark's byte probe ------------------------------------------------------
+
+
+def test_augment_224_probe_matches_the_benchmark_record(tmp_path):
+    """perfbench's augment-224 probe, recomputed: 64 in1k train samples from
+    fixed 256 px sources and seeds, hashed as bytes, against the sha256 the
+    benchmark checks every run against."""
+    record = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    policy = trn.policy_from_recipe(cfg.preset("in1k"))
+    spec = dat.SynthSpec(num_classes=4, per_class=4, resolution=256, seed=0)
+    probe = dat.synth_dataset(spec, tmp_path)
+    digest = hashlib.sha256()
+    for i in range(64):
+        img = dat.load_image(probe.image_path(i % len(probe)))
+        out = trn.augment_train_sample(img, policy, True, Rng(dat.per_sample_seed(0, 0, i)))
+        digest.update(out.pixels.tobytes())
+    assert digest.hexdigest() == record["augment-224"]["probe_sha256"]

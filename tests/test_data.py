@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def test_loaded_image_owns_its_buffer(tmp_path):
     img = dat.load_image(path)
     img.pixels.flags.writeable or img.pixels.setflags(write=True)
     img.pixels[0, 0] = 7  # must not raise: the array is a private copy
+
+
+def test_load_image_copies_the_payload_once(tmp_path):
+    path = tmp_path / "big.img1"
+    dat.save_image(ImageU8(np.full((256, 256, 3), 9, dtype=np.uint8)), path)
+    payload = 256 * 256 * 3
+    dat.load_image(path)
+    tracemalloc.start()
+    try:
+        img = dat.load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(img.pixels == 9)
+    # the file's bytes and the pixels; a sliced payload would add a third
+    assert peak < 2.5 * payload
 
 
 # -- manifests -----------------------------------------------------------------
@@ -336,3 +353,35 @@ def test_normalize_denormalize_round_trip_all_bytes():
     img = ImageU8(px)
     back = denormalize(dat.normalize(img))
     np.testing.assert_array_equal(back.pixels, img.pixels)
+
+
+def ref_normalize(pixels):
+    """normalize's whole-image formula: (x / 255 - mean) / std in f64, then
+    the (3, H, W) f32 copy."""
+    x = pixels.astype(np.float64) / 255.0
+    x = (x - dat.IMAGENET_MEAN) / dat.IMAGENET_STD
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).astype(np.float32)
+
+
+@pytest.mark.parametrize("h, w", [(224, 224), (16, 16), (300, 7), (3, 1000), (1, 1)])
+def test_normalize_pins_the_whole_image_formula(h, w):
+    px = np.random.default_rng(h * w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    if h * w >= 256:  # every byte value in every channel
+        px.reshape(-1, 3)[:256] = np.arange(256, dtype=np.uint8)[:, None]
+    out = dat.normalize(ImageU8(px))
+    expected = ref_normalize(px)
+    assert out.dtype == np.float32 and out.shape == expected.shape
+    np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+
+def test_normalize_scratch_stays_within_row_blocks():
+    # the whole-image formula peaked at 3.06 f64 images at 224 px
+    img = ImageU8(np.random.default_rng(5).integers(0, 256, size=(224, 224, 3), dtype=np.uint8))
+    dat.normalize(img)
+    tracemalloc.start()
+    try:
+        dat.normalize(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 224 * 224 * 3 * 8
