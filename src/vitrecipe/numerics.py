@@ -10,10 +10,13 @@ backward rule.
 f32 is the training dtype; gradient checks run everything at f64.
 
 The heavy ops (`matmul`, `attention`'s backward, `layernorm`, the softmax
-and the f32 GELU) split their rows in two with `_split` when the process
-may run on two or more CPUs: one half on a helper thread, the other on the
-calling thread. Each output element comes from the same numpy or BLAS call
-on its own slice either way, so the bytes do not depend on the split.
+and the f32 GELU) cut their rows in two halves with `_split`, by a rule
+that reads the shapes alone. When the process may run on two or more CPUs,
+one half runs on a helper thread and the other on the calling thread; else
+both run on the calling thread. Each output element comes from the same
+numpy or BLAS call on the same slice either way, so the bytes do not depend
+on the number of CPUs. A linear layer's leading axes are flattened into the
+rows of one gemm per half.
 """
 
 from __future__ import annotations
@@ -58,24 +61,24 @@ def _help(tasks: queue.SimpleQueue) -> None:
         done.put(err)
 
 
-def _split(fn, n: int, size: int, min_rows: int = 1) -> None:
-    """Run `fn(lo, hi)` over the rows [0, n): the first half on the helper
-    thread, the second on the calling thread, and return when both are done.
+def _split(fn, n: int, size: int) -> None:
+    """Run `fn(lo, hi)` over the rows [0, n) and return when it is done.
 
+    The cut reads the shapes alone: the halves [0, n//2) and [n//2, n) when
+    n ≥ 2 and the `size` elements fill two parts of `_MIN_PART`, else the
+    whole range at once. The first half runs on the helper thread and the
+    second on the calling thread; both run inline, one after the other,
+    when there is one part or another thread is using the helper.
     `fn` runs raw numpy on slices of arrays the caller allocated, never a
-    public op of this module (a tracer wraps those, single-threaded). The
-    whole range runs inline when there is one part, when a half would hold
-    fewer than `min_rows` rows or `_MIN_PART` of the `size` elements, or
-    when another thread is using the helper.
+    public op of this module (a tracer wraps those, single-threaded).
     """
     global _tasks
-    if (
-        _PARTS < 2
-        or n < 2 * min_rows
-        or size < 2 * _MIN_PART
-        or not _lock.acquire(blocking=False)
-    ):
+    if n < 2 or size < 2 * _MIN_PART:
         fn(0, n)
+        return
+    if _PARTS < 2 or not _lock.acquire(blocking=False):
+        fn(0, n // 2)
+        fn(n // 2, n)
         return
     try:
         if _tasks is None:
@@ -176,10 +179,15 @@ def _make(out_data, inputs, grad_fn) -> Tensor:
     return out
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """`x` as a matrix: its leading axes flattened into rows."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
 def _sum_to_rank1(g: np.ndarray) -> np.ndarray:
     if g.ndim == 1:
         return g
-    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return _rows(g).sum(axis=0)
 
 
 # -- elementwise ---------------------------------------------------------
@@ -223,11 +231,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product, plus an optional rank-1 `bias` of shape (n,).
 
-    Two layouts: (.., k) @ (k, n) applies one weight matrix to flattened
-    leading axes, and (batch.., m, k) @ (batch.., k, n) with equal batch
-    extents multiplies per batch element (attention scores/values). The
-    bias is added in place into the fresh product, so a linear layer is one
-    node with the bits of `matmul(a, b) + bias` and its column-sum gradient.
+    Two layouts: (.., k) @ (k, n) applies one weight matrix to the leading
+    axes of `a` flattened into rows, and (batch.., m, k) @ (batch.., k, n)
+    with equal batch extents multiplies per batch element (attention
+    scores/values). `_split` cuts those rows, or the batch axis, in halves
+    by shape alone, so a linear layer runs one gemm per half forward and
+    one for g·bᵀ. The bias is added in place into the fresh product, so a
+    linear layer is one node with the bits of `matmul(a, b) + bias` and its
+    column-sum gradient.
     """
     if a.ndim >= 2 and b.ndim == 2:
         if a.shape[-1] != b.shape[0]:
@@ -259,28 +270,29 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     bias_data = bias.data if has_bias else None
     parts = 2 if a.requires_grad else 1  # 1: aᵀ·g alone, as for the patchified images
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a_data, b_data))
+    rows, out_rows = (a_data, out) if batched else (_rows(a_data), _rows(out))
 
     def part(lo, hi):
-        o = out[lo:hi]
-        np.matmul(a_data[lo:hi], b_data[lo:hi] if batched else b_data, out=o)
+        o = out_rows[lo:hi]
+        np.matmul(rows[lo:hi], b_data[lo:hi] if batched else b_data, out=o)
         if has_bias:
             np.add(o, bias_data, out=o)
 
-    # the leading axis, two rows a part at least: one row would run as a BLAS
-    # gemv, with other bits than the gemm of the whole
-    _split(part, a.shape[0], out.size, min_rows=2)
+    m = len(rows)
+    if m < 4:  # a half of one row would run as a gemv
+        part(0, m)
+    else:
+        _split(part, m, out.size)
 
     def grad_fn(g):
         grads = [None, None]  # aᵀ·g on the helper, g·bᵀ on the caller; neither split
+        a_, g_ = (a_data, g) if batched else (_rows(a_data), _rows(g))
 
         def task(lo, hi):
             if lo == 0:
-                grads[0] = (
-                    a_data.swapaxes(-1, -2) @ g if batched
-                    else a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                )
+                grads[0] = a_.swapaxes(-1, -2) @ g_
             if hi == 2:
-                grads[1] = g @ b_data.swapaxes(-1, -2)
+                grads[1] = (g_ @ b_data.swapaxes(-1, -2)).reshape(a_data.shape)
 
         _split(task, parts, g.size)
         gb, ga = grads
@@ -510,7 +522,7 @@ def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     rows are split."""
     if out is None:
         out = np.empty(x.shape, x.dtype)
-    xs, outs = x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])
+    xs, outs = _rows(x), _rows(out)
 
     def rows(lo, hi):
         x_, out_ = xs[lo:hi], outs[lo:hi]

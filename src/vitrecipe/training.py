@@ -125,8 +125,8 @@ def _apply_mix(images, targets, policy: aug.AugmentPolicy, rng: Rng):
     kind = aug.mix_dispatch(policy, rng)
     if kind == "none":
         return images, targets
-    partner_images = images[::-1].copy()
-    partner_targets = targets[::-1].copy()
+    # each sample's partner is its mirror; views, as both mixes write fresh arrays
+    partner_images, partner_targets = images[::-1], targets[::-1]
     if kind == "mixup":
         return aug.mixup(images, partner_images, targets, partner_targets, policy.mixup_alpha, rng)
     return aug.cutmix(images, partner_images, targets, partner_targets, policy.cutmix_alpha, rng)

@@ -516,6 +516,22 @@ SPLIT_SHAPES = {
 }
 
 
+def _narrow_product(a_shape):
+    w, bias = _tracked(48, 8, seed=88), _tracked(8, seed=89)
+    return _forward_and_grads(nm.matmul(_tracked(*a_shape, seed=90), w, bias), seed=91)
+
+
+# every op at every shape, and two products only 8 wide, whose gemm gives
+# other bits for other row counts: a 2-D one and a (B, T, k) stack
+SPLIT_CASES = {
+    f"{op}-{shape}": lambda op=op, shape=shape: SPLIT_OPS[op](*SPLIT_SHAPES[shape])
+    for shape in SPLIT_SHAPES
+    for op in SPLIT_OPS
+}
+SPLIT_CASES["matmul-2d-narrow"] = lambda: _narrow_product((4160, 48))
+SPLIT_CASES["matmul-3d-narrow"] = lambda: _narrow_product((64, 65, 48))
+
+
 def _run_in_parts(monkeypatch, parts, fn):
     """`fn()` with the part count set to `parts`, and the threads the parts ran on."""
     monkeypatch.setattr(nm, "_PARTS", parts)
@@ -535,23 +551,77 @@ def _run_in_parts(monkeypatch, parts, fn):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("shape", SPLIT_SHAPES.values(), ids=SPLIT_SHAPES)
-@pytest.mark.parametrize("op", SPLIT_OPS)
-def test_split_and_serial_give_the_same_bytes(monkeypatch, op, shape):
-    serial, serial_threads = _run_in_parts(monkeypatch, 1, lambda: SPLIT_OPS[op](*shape))
-    split, split_threads = _run_in_parts(monkeypatch, 2, lambda: SPLIT_OPS[op](*shape))
+def _gemm_operands(monkeypatch):
+    """The shapes of the left operands `np.matmul` receives from here on."""
+    shapes, matmul = [], np.matmul
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_and_serial_give_the_same_bytes(monkeypatch, case):
+    serial, serial_threads = _run_in_parts(monkeypatch, 1, SPLIT_CASES[case])
+    split, split_threads = _run_in_parts(monkeypatch, 2, SPLIT_CASES[case])
     assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
     assert [a.dtype for a in split] == [a.dtype for a in serial]
     assert serial_threads == {threading.get_ident()}
-    assert len(split_threads) == (1 if shape == SPLIT_SHAPES["one-row"] else 2)
+    assert len(split_threads) == (1 if case.endswith("one-row") else 2)
 
 
-def test_matmul_splits_off_no_single_row(monkeypatch):
-    # big enough to split, but a part of one row would run as a BLAS gemv
-    a, b = Tensor(f32(3, 64, seed=89)), Tensor(f32(64, 4 * nm._MIN_PART, seed=90))
-    serial, _ = _run_in_parts(monkeypatch, 1, lambda: nm.matmul(a, b).data)
-    split, _ = _run_in_parts(monkeypatch, 2, lambda: nm.matmul(a, b).data)
-    assert split.tobytes() == serial.tobytes()
+def test_matmul_cuts_halves_of_two_rows_at_least(monkeypatch):
+    # big enough to cut, but a half of one row would run as a BLAS gemv: 3 rows
+    # run as one gemm, 4 as two halves of 2
+    for m, halves in [(3, [(3, 64)]), (4, [(2, 64), (2, 64)])]:
+        a, b = Tensor(f32(m, 64, seed=89)), Tensor(f32(64, 4 * nm._MIN_PART, seed=90))
+        outputs = []
+        for parts in (1, 2):
+            def run():
+                operands = _gemm_operands(monkeypatch)
+                return nm.matmul(a, b).data, sorted(operands)
+
+            (out, operands), _ = _run_in_parts(monkeypatch, parts, run)
+            assert operands == halves
+            outputs.append(out.tobytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_a_linear_layer_runs_one_gemm_per_half(monkeypatch):
+    # the toy's fc1; numpy runs a (64, 65, 64) left operand as 64 gemms of 65 rows
+    x, w, bias = (Tensor(f32(*shape, seed=92)) for shape in [(64, 65, 64), (64, 256), (256,)])
+    operands = _gemm_operands(monkeypatch)
+    nm.matmul(x, w, bias)
+    assert 1 <= len(operands) <= 2
+    assert all(len(shape) == 2 for shape in operands)
+
+
+def _linear_layers():
+    """(B, T, k, n) of the patch projection and each linear layer of a block."""
+    models = {  # (batch, patches, embed width, patch values)
+        "toy": (64, 64, 64, 48),
+        "vit-t-96": (64, 36, 192, 768),
+        "vit-t-224-b2": (2, 196, 192, 768),
+    }
+    for model, (b, t, d, k) in models.items():
+        layers = {"patch": (t, k, d), "qkv": (t + 1, d, 3 * d), "proj": (t + 1, d, d),
+                  "fc1": (t + 1, d, 4 * d), "fc2": (t + 1, 4 * d, d)}
+        for layer, shape in layers.items():
+            yield pytest.param(b, *shape, id=f"{model}-{layer}")
+
+
+@pytest.mark.parametrize("b, t, k, n", _linear_layers())
+def test_a_linear_layer_pins_the_per_batch_element_formula(b, t, k, n):
+    a, w, bias = _tracked(b, t, k, seed=95), _tracked(k, n, seed=96), _tracked(n, seed=97)
+    g = f32(b, t, n, seed=98)
+    out = nm.matmul(a, w, bias)
+    ga = out.node.grad_fn(g)[0]
+    # over the (B, T, ·) stacks, which numpy runs as B gemms of T rows each
+    assert out.data.tobytes() == (np.matmul(a.data, w.data) + bias.data).tobytes()
+    assert ga.tobytes() == (g @ w.data.swapaxes(-1, -2)).tobytes()
 
 
 def test_an_error_in_the_helper_reaches_the_caller(monkeypatch):

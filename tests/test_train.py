@@ -340,6 +340,36 @@ def test_loader_stream_is_the_in_process_stream(tmp_path, synth_root, monkeypatc
     assert received == expected
 
 
+def _apply_mix_with_copied_partners(images, targets, policy, rng):
+    """`training._apply_mix` as it was when it copied each mirrored partner."""
+    kind = aug.mix_dispatch(policy, rng)
+    if kind == "none":
+        return images, targets
+    partner_images, partner_targets = images[::-1].copy(), targets[::-1].copy()
+    if kind == "mixup":
+        return aug.mixup(images, partner_images, targets, partner_targets, policy.mixup_alpha, rng)
+    return aug.cutmix(images, partner_images, targets, partner_targets, policy.cutmix_alpha, rng)
+
+
+@pytest.mark.parametrize("batch", [6, 7], ids=["even", "odd"])
+def test_apply_mix_pins_the_call_with_copied_partners(batch):
+    # an odd batch pairs its middle sample with itself
+    policy = aug.AugmentPolicy(train_resolution=16)
+    gen = np.random.default_rng(batch)
+    kinds = set()
+    for seed in range(8):
+        images = gen.normal(size=(batch, 3, 16, 16)).astype(np.float32)
+        targets = trn.one_hot(gen.integers(0, 4, batch), 4)
+        before = images.copy(), targets.copy()
+        kinds.add(aug.mix_dispatch(policy, Rng(seed)))
+        got = trn._apply_mix(images, targets, policy, Rng(seed))
+        expected = _apply_mix_with_copied_partners(*before, policy, Rng(seed))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert [a.dtype for a in got] == [a.dtype for a in expected]
+        assert images.tobytes() == before[0].tobytes() and targets.tobytes() == before[1].tobytes()
+    assert kinds == {"mixup", "cutmix"}
+
+
 def test_spawned_loader_gives_the_same_checkpoint(tmp_path, synth_root, monkeypatch):
     recipe = toy_recipe(epochs=2)
     default = trn.train(recipe, synth_root, toy_model(), tmp_path / "default")
