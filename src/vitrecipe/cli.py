@@ -84,7 +84,7 @@ def _cmd_augment_preview(args) -> int:
     count = min(args.count, len(manifest))
     for i in range(count):
         img = dat.load_image(manifest.image_path(i))
-        rng = Rng(dat.per_sample_seed(recipe.seed, 0, i))
+        rng = Rng(trn.augment_seed(recipe, 0, i))
         out, branch = trn.augment_train_sample_traced(img, policy, recipe.three_augment, rng)
         suffix = "" if branch is None else f"_branch{branch}"
         name = f"sample{i:04d}_seed{recipe.seed:016x}{suffix}.img1"
@@ -100,12 +100,7 @@ def _cmd_schedule_dump(args) -> int:
         args.model or "vit-t", drop_path_rate=None if args.model else 0.0, dataset=recipe.dataset
     )
     config, recipe = trn.resolve_run(recipe, base)
-    schedule = opt.ScheduleConfig(
-        base_lr=recipe.lr,
-        warmup_epochs=recipe.warmup_epochs,
-        total_epochs=recipe.epochs,
-        steps_per_epoch=args.steps_per_epoch,
-    )
+    schedule = trn.schedule_from_recipe(recipe, args.steps_per_epoch)
     lines = ["step,lr,drop_path,weight_decay"]
     for step in range(schedule.total_steps):
         lr = opt.cosine_lr(schedule, step)

@@ -62,6 +62,22 @@ def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
     )
 
 
+def schedule_from_recipe(recipe: RecipeConfig, steps_per_epoch: int) -> opt.ScheduleConfig:
+    return opt.ScheduleConfig(
+        base_lr=recipe.lr,
+        warmup_epochs=recipe.warmup_epochs,
+        total_epochs=recipe.epochs,
+        steps_per_epoch=steps_per_epoch,
+    )
+
+
+def augment_seed(recipe: RecipeConfig, epoch: int, idx: int, occurrence: int = 0) -> int:
+    """Augmentation seed of the `occurrence`-th copy of sample `idx` in a batch of
+    `epoch`; with repeated aug on, each copy gets its own, so the copies differ."""
+    seed = dat.per_sample_seed(recipe.seed, epoch, idx)
+    return dat.repeat_seed(seed, occurrence) if recipe.repeated_aug else seed
+
+
 def augment_train_sample_traced(
     img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
 ) -> Tuple[aug.ImageU8, Optional[int]]:
@@ -99,9 +115,9 @@ def _assemble_batch(
 ):
     """Augmented, standardized (B, 3, R, R) batch plus one-hot targets.
 
-    Repeated occurrences of an index inside one batch get their own
-    sub-seed, so the three repeated-aug copies differ. Decoded images are
-    kept in `decoded`; datasets here are desk-scale, so unbounded."""
+    Each occurrence of an index inside one batch is seeded by
+    `augment_seed`. Decoded images are kept in `decoded`; datasets here are
+    desk-scale, so unbounded."""
     images = np.empty(
         (len(indices), 3, recipe.train_resolution, recipe.train_resolution), dtype=np.float32
     )
@@ -110,12 +126,10 @@ def _assemble_batch(
     for row, idx in enumerate(indices):
         occurrence = seen.get(idx, 0)
         seen[idx] = occurrence + 1
-        seed = dat.per_sample_seed(recipe.seed, epoch, idx)
-        if recipe.repeated_aug:
-            seed = dat.repeat_seed(seed, occurrence)
         if idx not in decoded:
             decoded[idx] = dat.load_image(manifest.image_path(idx))
-        out = augment_train_sample(decoded[idx], policy, recipe.three_augment, Rng(seed))
+        rng = Rng(augment_seed(recipe, epoch, idx, occurrence))
+        out = augment_train_sample(decoded[idx], policy, recipe.three_augment, rng)
         images[row] = dat.normalize(out)
         labels[row] = manifest.label(idx)
     return images, one_hot(labels, manifest.num_classes)
@@ -252,14 +266,15 @@ def evaluate(
     manifest: dat.DatasetManifest,
     crop_ratio: float = 1.0,
     batch_size: int = 64,
-    cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> float:
     """Deterministic center-crop top-1 accuracy over the manifest.
 
-    The forward runs on an untracked view of `params` (same arrays, no
-    `requires_grad`), so no op records a tape node and each intermediate is
-    freed once the next op has read it. The logits are the tracked
-    forward's, bit for bit."""
+    Each batch's images are loaded and prepared when the batch runs, and
+    nothing is kept between batches or calls, so memory is bounded by the
+    model and one batch, whatever the manifest's length. The forward runs
+    on an untracked view of `params` (same arrays, no `requires_grad`), so
+    no op records a tape node and each intermediate is freed once the next
+    op has read it. The logits are the tracked forward's, bit for bit."""
     _check_eval_manifest(config, manifest)
     n = len(manifest)
     if batch_size < 1:
@@ -270,14 +285,8 @@ def evaluate(
         idxs = range(start, min(start + batch_size, n))
         rows = []
         for i in idxs:
-            if cache is not None and i in cache:
-                rows.append(cache[i])
-                continue
             img = dat.load_image(manifest.image_path(i))
-            prepared = dat.normalize(aug.eval_preprocess(img, config.image_size, crop_ratio))
-            if cache is not None:
-                cache[i] = prepared
-            rows.append(prepared)
+            rows.append(dat.normalize(aug.eval_preprocess(img, config.image_size, crop_ratio)))
         logits = mdl.forward(config, view, Tensor(np.stack(rows)), mode="eval")
         preds = logits.data.argmax(axis=1)
         labels = np.array([manifest.label(i) for i in idxs])
@@ -309,15 +318,8 @@ def _run_training(
         raise ParameterError(
             "dataset too small for one full batch under the repeated-aug sampler"
         )
-    schedule = opt.ScheduleConfig(
-        base_lr=recipe.lr,
-        warmup_epochs=recipe.warmup_epochs,
-        total_epochs=recipe.epochs,
-        steps_per_epoch=steps_per_epoch,
-    )
+    schedule = schedule_from_recipe(recipe, steps_per_epoch)
     state = opt.init_lamb_state(params)
-    eval_cache: Dict[int, np.ndarray] = {}
-    val_cache: Dict[int, np.ndarray] = {}
     record = run_record(config, recipe)
     header_info = dict(record, steps_per_epoch=steps_per_epoch, **(extra_header or {}))
 
@@ -359,13 +361,11 @@ def _run_training(
                 train_acc_s = ""
                 val_acc_s = ""
                 if last_of_epoch and eval_every > 0 and (epoch + 1) % eval_every == 0:
-                    final_train_acc = evaluate(
-                        config, params, manifest, recipe.test_crop_ratio, cache=eval_cache
-                    )
+                    final_train_acc = evaluate(config, params, manifest, recipe.test_crop_ratio)
                     train_acc_s = repr(final_train_acc)
                     if val_manifest is not None:
                         final_val_acc = evaluate(
-                            config, params, val_manifest, recipe.test_crop_ratio, cache=val_cache
+                            config, params, val_manifest, recipe.test_crop_ratio
                         )
                         val_acc_s = repr(final_val_acc)
                 wall = time.monotonic() - start_time

@@ -11,7 +11,6 @@ from vitrecipe import data as dat
 from vitrecipe import model as mdl
 from vitrecipe import optim as opt
 from vitrecipe import training as trn
-from vitrecipe.rng import Rng
 
 
 @pytest.fixture(scope="module")
@@ -168,10 +167,12 @@ def test_augment_preview_writes_img1(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [["crop_mode=rrc"], ["crop_mode=src"], ["three_augment=false"]],
-    ids=["rrc", "src", "no_three_augment"],
+    [["crop_mode=rrc"], ["crop_mode=src"], ["three_augment=false"], ["repeated_aug=off"]],
+    ids=["rrc", "src", "no_three_augment", "no_repeated_aug"],
 )
 def test_augment_preview_matches_train_augmentation(dataset, tmp_path, overrides):
+    # sample i's preview is the loader's first copy of i in epoch 0; with
+    # repeated aug on (the default) that copy has its own sub-seed
     out = tmp_path / "aug"
     overrides = ["train_resolution=16"] + overrides
     code = cli.main(
@@ -180,17 +181,14 @@ def test_augment_preview_matches_train_augmentation(dataset, tmp_path, overrides
     )
     assert code == 0
     manifest = dat.load_manifest(dataset)
-    recipe = cfg.load_recipe(overrides=overrides)
+    recipe = replace(cfg.load_recipe(overrides=overrides), seed=9)
     policy = trn.policy_from_recipe(recipe)
     files = sorted(out.glob("*.img1"))
     assert len(files) == 4
     for i, f in enumerate(files):
         assert ("_branch" in f.name) == recipe.three_augment
-        img = dat.load_image(manifest.image_path(i))
-        expected = trn.augment_train_sample(
-            img, policy, recipe.three_augment, Rng(dat.per_sample_seed(9, 0, i))
-        )
-        np.testing.assert_array_equal(dat.load_image(f).pixels, expected.pixels)
+        loader_images, _ = trn._assemble_batch(manifest, {}, [i], recipe, policy, 0)
+        np.testing.assert_array_equal(dat.normalize(dat.load_image(f)), loader_images[0])
 
 
 def test_cli_maps_value_errors_to_exit_2(dataset, tmp_path, capsys):

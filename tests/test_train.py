@@ -2,11 +2,13 @@
 finetune wiring, abort contract, the loader process."""
 
 import contextlib
+import gc
 import multiprocessing
 import os
 import re
 import signal
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -540,6 +542,38 @@ def test_evaluate_logits_match_the_tracked_forward(synth_root, monkeypatch):
         tracked = real_forward(no_drop, params, Tensor(images), mode="eval")
         assert tracked.node is not None
         assert np.array_equal(out.data, tracked.data)
+
+
+def _traced_heap_in_epoch_1(manifest, out_dir, monkeypatch):
+    """The trainer's traced heap at the first step of epoch 1, after epoch
+    0's eval of the whole manifest."""
+    recipe = toy_recipe(epochs=2)
+    real_cosine_lr, readings = opt.cosine_lr, []
+
+    def cosine_lr(schedule, step):
+        gc.collect()  # garbage awaiting the cyclic collector is not held memory
+        readings.append(tracemalloc.get_traced_memory()[0])
+        return real_cosine_lr(schedule, step)
+
+    monkeypatch.setattr(opt, "cosine_lr", cosine_lr)
+    tracemalloc.start()
+    try:
+        result = trn.train(recipe, manifest, toy_model(), out_dir)
+    finally:
+        tracemalloc.stop()
+    return readings[result.steps // recipe.epochs]
+
+
+def test_trainer_memory_does_not_grow_with_the_manifest(tmp_path, monkeypatch):
+    heaps = []
+    # the first run also takes the process's one-time allocations
+    for run, per_class in enumerate((16, 16, 64)):
+        spec = dat.SynthSpec(num_classes=2, per_class=per_class, resolution=16, seed=5)
+        manifest = dat.synth_dataset(spec, tmp_path / f"ds{per_class}")
+        heaps.append(_traced_heap_in_epoch_1(manifest, tmp_path / f"run{run}", monkeypatch))
+    # kept per-image eval inputs would add 96 prepared (3, 16, 16) f32 images
+    extra_images_bytes = 96 * 3 * 16 * 16 * 4
+    assert heaps[2] - heaps[1] < extra_images_bytes / 10, heaps
 
 
 # -- the effective run -----------------------------------------------------------
