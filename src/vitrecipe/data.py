@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, List, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -237,13 +237,15 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
 # -- standardization ------------------------------------------------------------------
 
 
-def normalize(img: ImageU8) -> np.ndarray:
-    """(H, W, 3) bytes -> (3, H, W) float32, ImageNet-standardized.
+def normalize(img: ImageU8, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(H, W, 3) bytes -> (3, H, W) float32, ImageNet-standardized, written
+    into `out` (a caller's batch row, say) when given, and returned.
 
     The f32 value depends on a channel's byte alone, so each channel plane
     is a lookup in that channel's row of _STANDARDIZED, by row blocks; the
     bytes are those of the whole-image formula."""
-    out = np.empty((3, img.height, img.width), dtype=np.float32)
+    if out is None:
+        out = np.empty((3, img.height, img.width), dtype=np.float32)
     for rows in _row_blocks(img.height, img.width):
         for c in range(3):
             index = img.pixels[rows, :, c].astype(np.intp)

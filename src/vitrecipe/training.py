@@ -107,7 +107,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def _assemble_batch(
     manifest: dat.DatasetManifest,
-    decoded: Dict[int, aug.ImageU8],
     indices,
     recipe: RecipeConfig,
     policy: aug.AugmentPolicy,
@@ -116,13 +115,13 @@ def _assemble_batch(
     """Augmented, standardized (B, 3, R, R) batch plus one-hot targets.
 
     Each occurrence of an index inside one batch is seeded by
-    `augment_seed`. Decoded images are kept in `decoded`; datasets here are
-    desk-scale, so unbounded."""
-    images = np.empty(
-        (len(indices), 3, recipe.train_resolution, recipe.train_resolution), dtype=np.float32
-    )
+    `augment_seed`. Each distinct index is decoded once, its copies share
+    that image, and no decoded image outlives the batch."""
+    r = recipe.train_resolution
+    images = np.empty((len(indices), 3, r, r), dtype=np.float32)
     labels = np.empty(len(indices), dtype=np.int64)
     seen: Dict[int, int] = {}
+    decoded: Dict[int, aug.ImageU8] = {}
     for row, idx in enumerate(indices):
         occurrence = seen.get(idx, 0)
         seen[idx] = occurrence + 1
@@ -130,7 +129,7 @@ def _assemble_batch(
             decoded[idx] = dat.load_image(manifest.image_path(idx))
         rng = Rng(augment_seed(recipe, epoch, idx, occurrence))
         out = augment_train_sample(decoded[idx], policy, recipe.three_augment, rng)
-        images[row] = dat.normalize(out)
+        dat.normalize(out, images[row])
         labels[row] = manifest.label(idx)
     return images, one_hot(labels, manifest.num_classes)
 
@@ -157,14 +156,13 @@ def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
     receiver.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     policy = policy_from_recipe(recipe)
-    decoded: Dict[int, aug.ImageU8] = {}
     try:
         for epoch in range(recipe.epochs):
             epoch_batches = dat.batches(
                 manifest, recipe.batch_size, recipe.seed, epoch, recipe.repeated_aug
             )
             for step, indices in enumerate(epoch_batches):
-                images, targets = _assemble_batch(manifest, decoded, indices, recipe, policy, epoch)
+                images, targets = _assemble_batch(manifest, indices, recipe, policy, epoch)
                 mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
                 sender.send(_apply_mix(images, targets, policy, mix_rng))
     except Exception as exc:
@@ -269,8 +267,8 @@ def evaluate(
 ) -> float:
     """Deterministic center-crop top-1 accuracy over the manifest.
 
-    Each batch's images are loaded and prepared when the batch runs, and
-    nothing is kept between batches or calls, so memory is bounded by the
+    Each batch's images are loaded and standardized into it when it runs,
+    and nothing is kept between batches or calls, so memory is bounded by the
     model and one batch, whatever the manifest's length. The forward runs
     on an untracked view of `params` (same arrays, no `requires_grad`), so
     no op records a tape node and each intermediate is freed once the next
@@ -283,11 +281,11 @@ def evaluate(
     correct = 0
     for start in range(0, n, batch_size):
         idxs = range(start, min(start + batch_size, n))
-        rows = []
-        for i in idxs:
+        images = np.empty((len(idxs), 3, config.image_size, config.image_size), dtype=np.float32)
+        for row, i in enumerate(idxs):
             img = dat.load_image(manifest.image_path(i))
-            rows.append(dat.normalize(aug.eval_preprocess(img, config.image_size, crop_ratio)))
-        logits = mdl.forward(config, view, Tensor(np.stack(rows)), mode="eval")
+            dat.normalize(aug.eval_preprocess(img, config.image_size, crop_ratio), images[row])
+        logits = mdl.forward(config, view, Tensor(images), mode="eval")
         preds = logits.data.argmax(axis=1)
         labels = np.array([manifest.label(i) for i in idxs])
         correct += int((preds == labels).sum())

@@ -187,7 +187,7 @@ def test_augment_preview_matches_train_augmentation(dataset, tmp_path, overrides
     assert len(files) == 4
     for i, f in enumerate(files):
         assert ("_branch" in f.name) == recipe.three_augment
-        loader_images, _ = trn._assemble_batch(manifest, {}, [i], recipe, policy, 0)
+        loader_images, _ = trn._assemble_batch(manifest, [i], recipe, policy, 0)
         np.testing.assert_array_equal(dat.normalize(dat.load_image(f)), loader_images[0])
 
 

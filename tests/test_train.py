@@ -326,12 +326,12 @@ def test_loader_stream_is_the_in_process_stream(tmp_path, synth_root, monkeypatc
 
     assert recipe.repeated_aug
     policy = trn.policy_from_recipe(recipe)
-    decoded, expected, kinds = {}, [], set()
+    expected, kinds = [], set()
     for epoch in range(recipe.epochs):
         epoch_batches = dat.batches(synth_root, recipe.batch_size, recipe.seed, epoch, True)
         for step, indices in enumerate(epoch_batches):
             images, targets = trn._assemble_batch(
-                synth_root, decoded, indices, recipe, policy, epoch
+                synth_root, indices, recipe, policy, epoch
             )
             mix_seed = derive_seed(recipe.seed, dat.TAG_MIX, epoch, step)
             kinds.add(aug.mix_dispatch(policy, Rng(mix_seed)))
