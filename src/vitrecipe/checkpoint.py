@@ -119,7 +119,11 @@ def unpack_training_state(arrays: Dict[str, np.ndarray]):
             m[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
         elif key.startswith(OPT_PREFIX + "v."):
             v[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
-    step = int(arrays[OPT_PREFIX + "step"][0])
+    step = arrays[OPT_PREFIX + "step"].ravel()
+    if step.size != 1 or not (float(step[0]).is_integer() and step[0] >= 0):
+        raise FormatError(
+            f"checkpoint {OPT_PREFIX}step must be one integer >= 0, got {step.tolist()}"
+        )
     if set(m) != set(params) or set(v) != set(params):
         raise FormatError("checkpoint optimizer moments do not cover the parameters")
-    return params, LambState(m=m, v=v, step=step)
+    return params, LambState(m=m, v=v, step=int(step[0]))

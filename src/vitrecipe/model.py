@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -136,52 +136,54 @@ def preset_config(
 # -- parameters ---------------------------------------------------------------
 
 
+# name -> (shape, fill): fill None is a truncated-normal(0.02) draw, else the constant
+ParamLayout = Dict[str, Tuple[Tuple[int, ...], Optional[float]]]
+
+
+def param_layout(config: ViTConfig) -> ParamLayout:
+    """Every parameter's name, shape and init, in `init`'s order: the one
+    statement of the layout, which loading a checkpoint checks against."""
+    d, hid, ls = config.embed_dim, config.mlp_hidden, config.layerscale_init
+    tokens = num_patches(config.image_size, config.patch_size) + 1
+    layout: ParamLayout = {
+        "patch_embed.weight": ((3 * config.patch_size**2, d), None),
+        "patch_embed.bias": ((d,), 0.0),
+        "cls_token": ((1, 1, d), None),
+        "pos_embed": ((1, tokens, d), None),
+    }
+    for i in range(config.depth):
+        block = {
+            "norm1.weight": ((d,), 1.0), "norm1.bias": ((d,), 0.0),
+            "attn.qkv.weight": ((d, 3 * d), None), "attn.qkv.bias": ((3 * d,), 0.0),
+            "attn.proj.weight": ((d, d), None), "attn.proj.bias": ((d,), 0.0),
+            "ls1": ((d,), ls),
+            "norm2.weight": ((d,), 1.0), "norm2.bias": ((d,), 0.0),
+            "mlp.fc1.weight": ((d, hid), None), "mlp.fc1.bias": ((hid,), 0.0),
+            "mlp.fc2.weight": ((hid, d), None), "mlp.fc2.bias": ((d,), 0.0),
+            "ls2": ((d,), ls),
+        }
+        layout.update((f"blocks.{i}.{name}", entry) for name, entry in block.items())
+    layout.update({
+        "norm.weight": ((d,), 1.0), "norm.bias": ((d,), 0.0),
+        "head.weight": ((d, config.num_classes), None), "head.bias": ((config.num_classes,), 0.0),
+    })
+    return layout
+
+
 def init(config: ViTConfig, rng: Rng, dtype=np.float32) -> ViTParams:
     """Truncated-normal(0.02) weights/embeddings, zero biases, LN at
     identity, every LayerScale vector at layerscale_init exactly.
 
-    Tensors are created (and random draws consumed) in dict order, so one
-    seed pins every byte.
+    Tensors are created (and random draws consumed) in `param_layout`'s
+    order, so one seed pins every byte.
     """
-    d = config.embed_dim
-    hid = config.mlp_hidden
-    tokens = num_patches(config.image_size, config.patch_size) + 1
     params: ViTParams = {}
-
-    def trunc(name, *shape):
-        n = int(np.prod(shape))
-        data = rng.truncated_normal_array(n, 0.02).reshape(shape)
+    for name, (shape, fill) in param_layout(config).items():
+        if fill is None:
+            data = rng.truncated_normal_array(math.prod(shape), 0.02).reshape(shape)
+        else:
+            data = np.full(shape, fill, dtype=dtype)
         params[name] = Tensor(data, requires_grad=True, dtype=dtype)
-
-    def const(name, shape, value):
-        params[name] = Tensor(
-            np.full(shape, value, dtype=dtype), requires_grad=True, dtype=dtype
-        )
-
-    trunc("patch_embed.weight", 3 * config.patch_size**2, d)
-    const("patch_embed.bias", (d,), 0.0)
-    trunc("cls_token", 1, 1, d)
-    trunc("pos_embed", 1, tokens, d)
-    for i in range(config.depth):
-        p = f"blocks.{i}."
-        const(p + "norm1.weight", (d,), 1.0)
-        const(p + "norm1.bias", (d,), 0.0)
-        trunc(p + "attn.qkv.weight", d, 3 * d)
-        const(p + "attn.qkv.bias", (3 * d,), 0.0)
-        trunc(p + "attn.proj.weight", d, d)
-        const(p + "attn.proj.bias", (d,), 0.0)
-        const(p + "ls1", (d,), config.layerscale_init)
-        const(p + "norm2.weight", (d,), 1.0)
-        const(p + "norm2.bias", (d,), 0.0)
-        trunc(p + "mlp.fc1.weight", d, hid)
-        const(p + "mlp.fc1.bias", (hid,), 0.0)
-        trunc(p + "mlp.fc2.weight", hid, d)
-        const(p + "mlp.fc2.bias", (d,), 0.0)
-        const(p + "ls2", (d,), config.layerscale_init)
-    const("norm.weight", (d,), 1.0)
-    const("norm.bias", (d,), 0.0)
-    trunc("head.weight", d, config.num_classes)
-    const("head.bias", (config.num_classes,), 0.0)
     return params
 
 

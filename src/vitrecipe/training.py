@@ -404,14 +404,44 @@ def config_from_block(block: Dict[str, str]) -> mdl.ViTConfig:
     if block.get("model.mlp_ratio", fixed) != fixed:
         raise FormatError(f"checkpoint config block: model.mlp_ratio={block['model.mlp_ratio']!r}, "
                           f"the model fixes {fixed}")
-    return mdl.ViTConfig(**values)
+    try:
+        return mdl.ViTConfig(**values)
+    except ParameterError as exc:
+        raise FormatError(f"checkpoint config block describes no valid model: {exc}") from exc
+
+
+def _check_tensors(config: mdl.ViTConfig, arrays: Dict[str, np.ndarray]) -> None:
+    """FormatError naming the first tensor that is missing, of another shape
+    than `config`'s `param_layout` gives, or not in it; LAMB moments, when
+    present, take their parameter's shape, and "opt.step" holds one value."""
+    shapes = {name: shape for name, (shape, _) in mdl.param_layout(config).items()}
+    if "opt.step" in arrays:
+        shapes.update([(f"opt.{k}.{name}", shape) for k in "mv" for name, shape in shapes.items()])
+        shapes["opt.step"] = (1,)
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise FormatError(f"checkpoint lacks tensor {name!r} of its config block's model")
+        if arrays[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, "
+                              f"its config block's model needs {shape}")
+    extra = [name for name in arrays if name not in shapes]
+    if extra:
+        raise FormatError(f"checkpoint tensor {extra[0]!r} is not in its config block's model")
 
 
 def load_model(path):
-    """Checkpoint -> (ViTConfig, params, optional LambState, config block)."""
+    """Checkpoint -> (ViTConfig, params, optional LambState, config block).
+
+    The block must describe a valid model and the tensors must be exactly
+    that model's, by `model.param_layout`; else FormatError names the
+    checkpoint and the key or tensor at fault."""
     block, arrays = load_checkpoint(path)
-    config = config_from_block(block)
-    params, state = unpack_training_state(arrays)
+    try:
+        config = config_from_block(block)
+        _check_tensors(config, arrays)
+        params, state = unpack_training_state(arrays)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return config, params, state, block
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vitrecipe import checkpoint as ckpt
 from vitrecipe import cli
 from vitrecipe import config as cfg
 from vitrecipe import data as dat
@@ -213,6 +214,17 @@ def test_eval_of_an_empty_manifest_exits_2(trained, tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_of_a_checkpoint_missing_a_tensor_exits_2(trained, dataset, tmp_path, capsys):
+    block, arrays = ckpt.load_checkpoint(trained / "checkpoint.ckpt")
+    del arrays["head.bias"]
+    path = tmp_path / "no-head-bias.ckpt"
+    ckpt.save_checkpoint(path, block, arrays)
+    code = cli.main(["eval", "--checkpoint", str(path), "--data", str(dataset)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "'head.bias'" in err
 
 
 def test_cli_rejects_unknown_preset(dataset, tmp_path):

@@ -372,6 +372,12 @@ def test_normalize_pins_the_whole_image_formula(h, w):
     expected = ref_normalize(px)
     assert out.dtype == np.float32 and out.shape == expected.shape
     np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+    # into a caller's batch row, not the first, leaving the other rows alone
+    batch = np.full((3, 3, h, w), np.nan, dtype=np.float32)
+    row = batch[1]
+    assert dat.normalize(ImageU8(px), row) is row
+    np.testing.assert_array_equal(batch[1].view(np.uint32), expected.view(np.uint32))
+    assert np.isnan(batch[[0, 2]]).all()
 
 
 def test_normalize_scratch_stays_within_row_blocks():

@@ -146,6 +146,18 @@ def test_unpack_without_moments_gives_none():
     assert set(back) == {"w"}
 
 
+@pytest.mark.parametrize(
+    "step", [[], [float("nan")], [2.5], [-1.0], [1.0, 2.0]],
+    ids=["empty", "nan", "fractional", "negative", "two-values"],
+)
+def test_unpack_rejects_a_step_that_is_not_one_integer(step):
+    params = {"w": Tensor(np.ones(2), requires_grad=True)}
+    arrays = ckpt.pack_training_state(params, opt.init_lamb_state(params))
+    arrays["opt.step"] = np.array(step, dtype=np.float32)
+    with pytest.raises(FormatError, match="opt.step"):
+        ckpt.unpack_training_state(arrays)
+
+
 def test_unpack_incomplete_moments_is_rejected():
     arrays = {
         "w": np.ones(2, dtype=np.float32),
@@ -340,6 +352,76 @@ def test_loader_stream_is_the_in_process_stream(tmp_path, synth_root, monkeypatc
     assert kinds == {"mixup", "cutmix"}
     assert len(received) == len(expected) == 10
     assert received == expected
+
+
+def test_assemble_batch_decodes_each_distinct_index_once(tmp_path, monkeypatch):
+    # the toy's repeated-aug batch: 64 rows from 22 distinct images
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=4, per_class=8, resolution=16, seed=1), tmp_path
+    )
+    recipe = toy_recipe(batch_size=64)
+    indices = dat.batches(manifest, recipe.batch_size, recipe.seed, 0, True)[0]
+    assert len(indices) == 64 and len(set(indices)) == 22
+    real_load, loads = dat.load_image, []
+
+    def load_image(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(dat, "load_image", load_image)
+    trn._assemble_batch(manifest, indices, recipe, trn.policy_from_recipe(recipe), 0)
+    assert sorted(loads) == sorted(manifest.image_path(i) for i in set(indices))
+
+
+class _StopLoader(BaseException):
+    """Ends an in-process `_load_batches`; not an `Exception`, so the loader
+    does not catch it and send it on."""
+
+
+def _loader_heap_in_epoch_1(manifest, monkeypatch):
+    """The traced heap of `_load_batches`, run in this process on stub pipe
+    ends, when it sends the first batch of epoch 1."""
+    recipe = toy_recipe(epochs=2)
+    steps = len(dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug))
+    readings = []
+
+    class Sender:
+        sent = 0
+
+        def send(self, item):
+            if isinstance(item, Exception):
+                raise item
+            if self.sent == steps:
+                gc.collect()
+                readings.append(tracemalloc.get_traced_memory()[0])
+                raise _StopLoader
+            self.sent += 1
+
+    class Receiver:
+        def close(self):
+            pass
+
+    # the loader ignores SIGINT; here that would be pytest's own handler
+    monkeypatch.setattr(trn.signal, "signal", lambda *args: None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopLoader):
+            trn._load_batches(Sender(), Receiver(), manifest, recipe)
+    finally:
+        tracemalloc.stop()
+    return readings[0]
+
+
+def test_loader_memory_does_not_grow_with_the_manifest(tmp_path, monkeypatch):
+    heaps = []
+    # the first run also takes the process's one-time allocations
+    for run, per_class in enumerate((32, 32, 128)):
+        spec = dat.SynthSpec(num_classes=2, per_class=per_class, resolution=32, seed=5)
+        manifest = dat.synth_dataset(spec, tmp_path / f"ds{run}")
+        heaps.append(_loader_heap_in_epoch_1(manifest, monkeypatch))
+    # kept decoded images would add 192 (32, 32, 3) uint8 images
+    extra_images_bytes = 192 * 32 * 32 * 3
+    assert heaps[2] - heaps[1] < extra_images_bytes / 10, heaps
 
 
 def _apply_mix_with_copied_partners(images, targets, policy, rng):
@@ -750,6 +832,58 @@ def test_a_checkpoint_recording_the_mlp_ratio_loads_and_finetunes(tmp_path, synt
     ckpt.save_checkpoint(pre.checkpoint_path, {**old_style, "model.mlp_ratio": "2.0"}, arrays)
     with pytest.raises(FormatError, match="mlp_ratio"):
         trn.load_model(pre.checkpoint_path)
+
+
+def depth2_checkpoint_arrays():
+    """The config block and tensors `train` writes for a depth-2 toy model."""
+    config = replace(toy_model(), depth=2)
+    params = mdl.init(config, Rng(0))
+    state = opt.init_lamb_state(params)
+    state.step = 7
+    block = {f"model.{k}": str(v) for k, v in trn.mdl_config_dict(config).items()}
+    return block, ckpt.pack_training_state(params, state)
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+# each case edits (block, arrays); the error must name what it names
+DISAGREEING_CHECKPOINTS = {
+    "missing-tensor": (lambda b, a: a.pop("head.bias"), "'head.bias'"),
+    "depth-above-the-tensors": (
+        lambda b, a: _set(b, "model.depth", "3"), "'blocks.2.norm1.weight'"
+    ),
+    "head-shape": (
+        lambda b, a: _set(a, "head.weight", np.zeros((16, 3), np.float32)), "'head.weight'"
+    ),
+    "moment-shape": (
+        lambda b, a: _set(a, "opt.v.pos_embed", np.zeros((1, 16, 16), np.float32)),
+        "'opt.v.pos_embed'",
+    ),
+    "unexpected-tensor": (
+        lambda b, a: _set(a, "blocks.2.ls1", np.zeros(16, np.float32)), "'blocks.2.ls1'"
+    ),
+    "empty-step": (lambda b, a: _set(a, "opt.step", np.zeros(0, np.float32)), "opt.step"),
+    "nan-step": (lambda b, a: _set(a, "opt.step", np.array([np.nan], np.float32)), "opt.step"),
+    "fractional-step": (lambda b, a: _set(a, "opt.step", np.array([2.5], np.float32)), "opt.step"),
+    "depth-zero": (lambda b, a: _set(b, "model.depth", "0"), "depth must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", DISAGREEING_CHECKPOINTS)
+def test_load_model_rejects_tensors_that_disagree_with_the_block(tmp_path, case):
+    edit, named = DISAGREEING_CHECKPOINTS[case]
+    block, arrays = depth2_checkpoint_arrays()
+    path = tmp_path / "ok.ckpt"
+    ckpt.save_checkpoint(path, block, arrays)
+    assert trn.load_model(path)[2].step == 7
+    edit(block, arrays)
+    path = tmp_path / "bad.ckpt"
+    ckpt.save_checkpoint(path, block, arrays)
+    with pytest.raises(FormatError) as info:
+        trn.load_model(path)
+    assert str(path) in str(info.value) and named in str(info.value)
 
 
 def test_train_too_small_dataset_for_sampler(tmp_path):
