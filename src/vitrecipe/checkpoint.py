@@ -75,6 +75,8 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
     while pos < len(raw):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         name = text(name_len, "tensor name")
+        if name in arrays:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
         # Python ints: u64 extents can overflow int64 alone or in a product

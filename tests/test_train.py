@@ -122,6 +122,15 @@ def test_checkpoint_rejects_non_utf8_text(tmp_path, tail):
         ckpt.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    ckpt.save_checkpoint(path, {}, {"w": np.ones(2, dtype=np.float32)})
+    record = path.read_bytes()[len(b"VITCKPT1") + 4 :]
+    path.write_bytes(path.read_bytes() + record)
+    with pytest.raises(FormatError, match="'w' appears twice"):
+        ckpt.load_checkpoint(path)
+
+
 def test_pack_unpack_training_state():
     params = {
         "w.weight": Tensor(np.ones((2, 2)), requires_grad=True),
