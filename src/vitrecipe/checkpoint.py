@@ -104,6 +104,26 @@ def pack_training_state(
     return arrays
 
 
+def check_training_state(
+    arrays: Dict[str, np.ndarray], shapes: Dict[str, Tuple[int, ...]]
+) -> None:
+    """FormatError naming the first tensor that is missing, of another shape
+    than `shapes` gives, or not in it: `arrays` must hold exactly those
+    parameters, and with a step, their two moments and a one-value step."""
+    expected = dict(shapes)
+    if OPT_PREFIX + "step" in arrays:
+        expected.update((f"{OPT_PREFIX}{k}.{name}", s) for k in "mv" for name, s in shapes.items())
+        expected[OPT_PREFIX + "step"] = (1,)
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise FormatError(f"checkpoint lacks tensor {name!r}")
+        if arrays[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r}: shape {arrays[name].shape}, not {shape}")
+    extra = [name for name in arrays if name not in expected]
+    if extra:
+        raise FormatError(f"checkpoint tensor {extra[0]!r} is not in the model")
+
+
 def unpack_training_state(arrays: Dict[str, np.ndarray]):
     """Split a loaded array dict into trainable f32 parameter Tensors and,
     when the checkpoint carries them, a LambState."""

@@ -32,7 +32,8 @@ from . import data as dat
 from . import model as mdl
 from . import numerics as nm
 from . import optim as opt
-from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, unpack_training_state
+from .checkpoint import check_training_state, load_checkpoint, pack_training_state
+from .checkpoint import save_checkpoint, unpack_training_state
 from .config import RecipeConfig
 from .errors import ContractError, FormatError, ParameterError
 from .numerics import Tensor
@@ -410,25 +411,6 @@ def config_from_block(block: Dict[str, str]) -> mdl.ViTConfig:
         raise FormatError(f"checkpoint config block describes no valid model: {exc}") from exc
 
 
-def _check_tensors(config: mdl.ViTConfig, arrays: Dict[str, np.ndarray]) -> None:
-    """FormatError naming the first tensor that is missing, of another shape
-    than `config`'s `param_layout` gives, or not in it; LAMB moments, when
-    present, take their parameter's shape, and "opt.step" holds one value."""
-    shapes = {name: shape for name, (shape, _) in mdl.param_layout(config).items()}
-    if "opt.step" in arrays:
-        shapes.update([(f"opt.{k}.{name}", shape) for k in "mv" for name, shape in shapes.items()])
-        shapes["opt.step"] = (1,)
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise FormatError(f"checkpoint lacks tensor {name!r} of its config block's model")
-        if arrays[name].shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, "
-                              f"its config block's model needs {shape}")
-    extra = [name for name in arrays if name not in shapes]
-    if extra:
-        raise FormatError(f"checkpoint tensor {extra[0]!r} is not in its config block's model")
-
-
 def load_model(path):
     """Checkpoint -> (ViTConfig, params, optional LambState, config block).
 
@@ -438,7 +420,8 @@ def load_model(path):
     block, arrays = load_checkpoint(path)
     try:
         config = config_from_block(block)
-        _check_tensors(config, arrays)
+        layout = mdl.param_layout(config)
+        check_training_state(arrays, {name: shape for name, (shape, _) in layout.items()})
         params, state = unpack_training_state(arrays)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
