@@ -104,48 +104,38 @@ def pack_training_state(
     return arrays
 
 
-def check_training_state(
-    arrays: Dict[str, np.ndarray], shapes: Dict[str, Tuple[int, ...]]
-) -> None:
-    """FormatError naming the first tensor that is missing, of another shape
-    than `shapes` gives, or not in it: `arrays` must hold exactly those
-    parameters, and with a step, their two moments and a one-value step."""
-    expected = dict(shapes)
-    if OPT_PREFIX + "step" in arrays:
-        expected.update((f"{OPT_PREFIX}{k}.{name}", s) for k in "mv" for name, s in shapes.items())
-        expected[OPT_PREFIX + "step"] = (1,)
-    for name, shape in expected.items():
-        if name not in arrays:
+def unpack_training_state(arrays: Dict[str, np.ndarray], shapes: Dict[str, Tuple[int, ...]]):
+    """Trainable f32 parameter Tensors and, when the checkpoint carries an
+    `opt.step`, a LambState, taken from `arrays` by the names `shapes` gives.
+
+    The parameters are taken in `shapes`' order, then with a step their two
+    moments and the one-value step, each checked as it is taken. FormatError
+    names the first that is missing or of another shape, a step that is not
+    one integer >= 0, or else a tensor that was not taken."""
+    left = dict(arrays)
+
+    def take(name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        if name not in left:
             raise FormatError(f"checkpoint lacks tensor {name!r}")
-        if arrays[name].shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r}: shape {arrays[name].shape}, not {shape}")
-    extra = [name for name in arrays if name not in expected]
-    if extra:
-        raise FormatError(f"checkpoint tensor {extra[0]!r} is not in the model")
+        arr = left.pop(name)
+        if arr.shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r}: shape {arr.shape}, not {shape}")
+        return arr
 
-
-def unpack_training_state(arrays: Dict[str, np.ndarray]):
-    """Split a loaded array dict into trainable f32 parameter Tensors and,
-    when the checkpoint carries them, a LambState."""
     params = {
-        name: Tensor(arr, requires_grad=True, dtype=np.float32)
-        for name, arr in arrays.items()
-        if not name.startswith(OPT_PREFIX)
+        name: Tensor(take(name, shape), requires_grad=True, dtype=np.float32)
+        for name, shape in shapes.items()
     }
-    if OPT_PREFIX + "step" not in arrays:
-        return params, None
-    m = {}
-    v = {}
-    for key, arr in arrays.items():
-        if key.startswith(OPT_PREFIX + "m."):
-            m[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
-        elif key.startswith(OPT_PREFIX + "v."):
-            v[key[len(OPT_PREFIX) + 2 :]] = arr.astype(np.float32)
-    step = arrays[OPT_PREFIX + "step"].ravel()
-    if step.size != 1 or not (float(step[0]).is_integer() and step[0] >= 0):
-        raise FormatError(
-            f"checkpoint {OPT_PREFIX}step must be one integer >= 0, got {step.tolist()}"
+    state = None
+    if OPT_PREFIX + "step" in left:
+        m, v = (
+            {n: take(f"{OPT_PREFIX}{k}.{n}", s).astype(np.float32) for n, s in shapes.items()}
+            for k in "mv"
         )
-    if set(m) != set(params) or set(v) != set(params):
-        raise FormatError("checkpoint optimizer moments do not cover the parameters")
-    return params, LambState(m=m, v=v, step=int(step[0]))
+        (step,) = take(OPT_PREFIX + "step", (1,)).tolist()
+        if not (step.is_integer() and step >= 0):
+            raise FormatError(f"checkpoint opt.step must be one integer >= 0, got {[step]}")
+        state = LambState(m=m, v=v, step=int(step))
+    if left:
+        raise FormatError(f"checkpoint tensor {next(iter(left))!r} is not in the model")
+    return params, state

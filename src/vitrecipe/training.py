@@ -32,8 +32,8 @@ from . import data as dat
 from . import model as mdl
 from . import numerics as nm
 from . import optim as opt
-from .checkpoint import check_training_state, load_checkpoint, pack_training_state
-from .checkpoint import save_checkpoint, unpack_training_state
+from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint
+from .checkpoint import unpack_training_state
 from .config import RecipeConfig
 from .errors import ContractError, FormatError, ParameterError
 from .numerics import Tensor
@@ -421,8 +421,7 @@ def load_model(path):
     try:
         config = config_from_block(block)
         layout = mdl.param_layout(config)
-        check_training_state(arrays, {name: shape for name, (shape, _) in layout.items()})
-        params, state = unpack_training_state(arrays)
+        params, state = unpack_training_state(arrays, {n: s for n, (s, _) in layout.items()})
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return config, params, state, block

@@ -141,7 +141,9 @@ def test_pack_unpack_training_state():
     state.m["w.weight"][:] = 0.25
     arrays = ckpt.pack_training_state(params, state)
     assert "opt.m.w.weight" in arrays and "opt.step" in arrays
-    back_params, back_state = ckpt.unpack_training_state(arrays)
+    back_params, back_state = ckpt.unpack_training_state(
+        arrays, {name: p.shape for name, p in params.items()}
+    )
     assert back_state.step == 9
     np.testing.assert_array_equal(back_state.m["w.weight"], 0.25)
     np.testing.assert_array_equal(back_params["w.weight"].data, params["w.weight"].data)
@@ -150,7 +152,7 @@ def test_pack_unpack_training_state():
 def test_unpack_without_moments_gives_none():
     params = {"w": Tensor(np.ones(3))}
     arrays = ckpt.pack_training_state(params, None)
-    back, state = ckpt.unpack_training_state(arrays)
+    back, state = ckpt.unpack_training_state(arrays, {"w": (3,)})
     assert state is None
     assert set(back) == {"w"}
 
@@ -164,7 +166,7 @@ def test_unpack_rejects_a_step_that_is_not_one_integer(step):
     arrays = ckpt.pack_training_state(params, opt.init_lamb_state(params))
     arrays["opt.step"] = np.array(step, dtype=np.float32)
     with pytest.raises(FormatError, match="opt.step"):
-        ckpt.unpack_training_state(arrays)
+        ckpt.unpack_training_state(arrays, {"w": (2,)})
 
 
 def test_unpack_incomplete_moments_is_rejected():
@@ -176,7 +178,7 @@ def test_unpack_incomplete_moments_is_rejected():
         "opt.step": np.array([1.0], dtype=np.float32),
     }
     with pytest.raises(FormatError):
-        ckpt.unpack_training_state(arrays)
+        ckpt.unpack_training_state(arrays, {"w": (2,), "x": (2,)})
 
 
 # -- training loop -------------------------------------------------------------
@@ -877,6 +879,12 @@ DISAGREEING_CHECKPOINTS = {
     "nan-step": (lambda b, a: _set(a, "opt.step", np.array([np.nan], np.float32)), "opt.step"),
     "fractional-step": (lambda b, a: _set(a, "opt.step", np.array([2.5], np.float32)), "opt.step"),
     "depth-zero": (lambda b, a: _set(b, "model.depth", "0"), "depth must be at least 1"),
+    "moments-without-step": (
+        lambda b, a: a.pop("opt.step"), "'opt.m.patch_embed.weight' is not in the model"
+    ),
+    "step-without-a-moment": (
+        lambda b, a: a.pop("opt.v.head.bias"), "lacks tensor 'opt.v.head.bias'"
+    ),
 }
 
 
