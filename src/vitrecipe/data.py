@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,8 @@ def load_image(path) -> ImageU8:
     width, height, channels = struct.unpack("<III", raw[4:16])
     if channels != 3:
         raise FormatError(f"{path}: unsupported channel count {channels}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: header gives a {width}x{height} image, not at least 1x1")
     expected = width * height * 3
     if len(raw) - 16 != expected:
         raise FormatError(
@@ -147,32 +149,40 @@ def repeat_seed(sample_seed: int, repeat_index: int) -> int:
 REPEATS = 3  # the recipe's repeated-augmentation copies per image
 
 
+def epoch_steps(num_images: int, batch_size: int, repeated: bool) -> int:
+    """How many index lists `batches` gives for an epoch of `num_images`."""
+    if batch_size < 1:
+        raise ParameterError(f"batches: batch_size must be at least 1, got {batch_size}")
+    if repeated:
+        return num_images // math.ceil(batch_size / REPEATS)
+    return -(-num_images // batch_size)
+
+
 def batches(
     manifest: DatasetManifest, batch_size: int, seed: int, epoch: int, repeated: bool
-) -> List[List[int]]:
-    """Index lists for one epoch.
+) -> Iterator[List[int]]:
+    """Index lists for one epoch, each cut from the epoch's seeded
+    permutation when it is taken; `epoch_steps` gives their number.
 
-    Plain mode: seeded permutation cut into consecutive chunks (trailing
-    partial batch kept). Repeated mode: each batch takes
-    ceil(batch_size/REPEATS) distinct samples from the permutation and
-    repeats each one, truncating the tail to batch_size; the epoch ends
-    when too few distinct samples remain for a full batch.
+    Plain mode: consecutive chunks of the permutation (trailing partial
+    batch kept). Repeated mode: each batch takes ceil(batch_size/REPEATS)
+    distinct samples from the permutation and repeats each one, truncating
+    the tail to batch_size; the epoch ends when too few distinct samples
+    remain for a full batch.
     """
     n = len(manifest)
     if n == 0:
         raise ParameterError("batches: empty manifest")
-    if batch_size < 1:
-        raise ParameterError(f"batches: batch_size must be at least 1, got {batch_size}")
+    steps = epoch_steps(n, batch_size, repeated)  # raises on a batch_size below 1
     order = list(range(n))
     Rng(derive_seed(seed, TAG_SHUFFLE, epoch)).shuffle(order)
-    if repeated:
-        group = math.ceil(batch_size / REPEATS)
-        out = []
-        for start in range(0, n - group + 1, group):
-            batch = [idx for idx in order[start : start + group] for _ in range(REPEATS)]
-            out.append(batch[:batch_size])
-        return out
-    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+    if not repeated:
+        return (order[start : start + batch_size] for start in range(0, n, batch_size))
+    group = math.ceil(batch_size / REPEATS)
+    return (
+        [idx for idx in order[start : start + group] for _ in range(REPEATS)][:batch_size]
+        for start in range(0, steps * group, group)
+    )
 
 
 # -- synthetic dataset -------------------------------------------------------------

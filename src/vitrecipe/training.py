@@ -303,6 +303,8 @@ def _run_training(
     val_manifest: Optional[dat.DatasetManifest] = None,
     eval_every: int = 1,
 ) -> TrainResult:
+    if eval_every < 0:
+        raise ParameterError(f"eval_every must be at least 0 (0: never), got {eval_every}")
     if val_manifest is not None:
         _check_eval_manifest(config, val_manifest)
     out_dir = Path(out_dir)
@@ -310,9 +312,7 @@ def _run_training(
     metrics_path = out_dir / "metrics.csv"
     checkpoint_path = out_dir / "checkpoint.ckpt"
 
-    steps_per_epoch = len(
-        dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug)
-    )
+    steps_per_epoch = dat.epoch_steps(len(manifest), recipe.batch_size, recipe.repeated_aug)
     if steps_per_epoch == 0:
         raise ParameterError(
             "dataset too small for one full batch under the repeated-aug sampler"

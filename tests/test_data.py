@@ -1,6 +1,7 @@
 """Dataset container, manifest, seeding, sampler, and synthetic-set tests."""
 
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -58,6 +59,14 @@ def test_image_wrong_channel_count(tmp_path):
     header = b"IMG1" + struct.pack("<III", 2, 2, 1)
     path.write_bytes(header + b"\0" * 4)
     with pytest.raises(FormatError):
+        dat.load_image(path)
+
+
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (0, 0)])
+def test_image_with_no_pixels_fails_naming_the_file(tmp_path, width, height):
+    path = tmp_path / "empty.img1"
+    path.write_bytes(b"IMG1" + struct.pack("<III", width, height, 3))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: header gives a {width}x{height}")):
         dat.load_image(path)
 
 
@@ -172,22 +181,22 @@ def make_manifest(n, num_classes=4):
 
 def test_plain_epoch_is_a_permutation():
     manifest = make_manifest(10)
-    out = dat.batches(manifest, 4, 0, 0, repeated=False)
+    out = list(dat.batches(manifest, 4, 0, 0, repeated=False))
     assert [len(b) for b in out] == [4, 4, 2]
     assert sorted(i for b in out for i in b) == list(range(10))
 
 
 def test_plain_epochs_differ_but_replay_identically():
     manifest = make_manifest(32)
-    e0 = dat.batches(manifest, 8, 3, 0, repeated=False)
-    e1 = dat.batches(manifest, 8, 3, 1, repeated=False)
+    e0 = list(dat.batches(manifest, 8, 3, 0, repeated=False))
+    e1 = list(dat.batches(manifest, 8, 3, 1, repeated=False))
     assert e0 != e1
-    assert dat.batches(manifest, 8, 3, 0, repeated=False) == e0
+    assert list(dat.batches(manifest, 8, 3, 0, repeated=False)) == e0
 
 
 def test_repeated_batch6_m3_two_distinct_each():
     manifest = make_manifest(12)
-    out = dat.batches(manifest, 6, 1, 0, repeated=True)
+    out = list(dat.batches(manifest, 6, 1, 0, repeated=True))
     assert len(out) == 6
     for b in out:
         assert len(b) == 6
@@ -200,7 +209,7 @@ def test_repeated_truncates_tail_group():
     # batch 64 at m=3 takes 22 distinct; 22*3=66 trims to 64, so the last
     # distinct index appears only twice
     manifest = make_manifest(256)
-    out = dat.batches(manifest, 64, 2, 0, repeated=True)
+    out = list(dat.batches(manifest, 64, 2, 0, repeated=True))
     assert len(out) == 11  # floor(256 / 22)
     for b in out:
         assert len(b) == 64
@@ -210,7 +219,7 @@ def test_repeated_truncates_tail_group():
 
 def test_repeated_drops_leftover_samples():
     manifest = make_manifest(5)
-    out = dat.batches(manifest, 6, 0, 0, repeated=True)
+    out = list(dat.batches(manifest, 6, 0, 0, repeated=True))
     assert len(out) == 2
     for b in out:
         assert len(b) == 6
@@ -228,6 +237,21 @@ def test_batches_empty_manifest():
     manifest = dat.DatasetManifest(root=None, entries=(), num_classes=1)
     with pytest.raises(ParameterError):
         dat.batches(manifest, 4, 0, 0, repeated=False)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["plain", "repeated"])
+def test_epoch_steps_counts_the_epochs_batches(repeated):
+    for n in list(range(1, 40)) + [255, 256, 257]:
+        manifest = make_manifest(n)
+        for batch_size in list(range(1, 25)) + [63, 64, 65, 300]:
+            count = sum(1 for _ in dat.batches(manifest, batch_size, n, 1, repeated))
+            assert dat.epoch_steps(n, batch_size, repeated) == count, (n, batch_size)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["plain", "repeated"])
+def test_epoch_steps_rejects_batch_size_below_one(repeated):
+    with pytest.raises(ParameterError, match="batch_size"):
+        dat.epoch_steps(6, 0, repeated)
 
 
 # -- synthetic gratings ------------------------------------------------------------

@@ -371,7 +371,7 @@ def test_assemble_batch_decodes_each_distinct_index_once(tmp_path, monkeypatch):
         dat.SynthSpec(num_classes=4, per_class=8, resolution=16, seed=1), tmp_path
     )
     recipe = toy_recipe(batch_size=64)
-    indices = dat.batches(manifest, recipe.batch_size, recipe.seed, 0, True)[0]
+    indices = next(dat.batches(manifest, recipe.batch_size, recipe.seed, 0, True))
     assert len(indices) == 64 and len(set(indices)) == 22
     real_load, loads = dat.load_image, []
 
@@ -393,7 +393,7 @@ def _loader_heap_in_epoch_1(manifest, monkeypatch):
     """The traced heap of `_load_batches`, run in this process on stub pipe
     ends, when it sends the first batch of epoch 1."""
     recipe = toy_recipe(epochs=2)
-    steps = len(dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug))
+    steps = dat.epoch_steps(len(manifest), recipe.batch_size, recipe.repeated_aug)
     readings = []
 
     class Sender:
@@ -491,7 +491,7 @@ def test_a_truncated_image_fails_the_run_naming_its_path(tmp_path):
         dat.SynthSpec(num_classes=2, per_class=8, resolution=16, seed=5), tmp_path / "toy"
     )
     recipe = toy_recipe()
-    first = dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug)[0][0]
+    first = next(dat.batches(manifest, recipe.batch_size, recipe.seed, 0, recipe.repeated_aug))[0]
     path = manifest.image_path(first)
     path.write_bytes(path.read_bytes()[:-5])
     with deadline(60), pytest.raises(FormatError, match=re.escape(str(path))):
@@ -901,6 +901,31 @@ def test_load_model_rejects_tensors_that_disagree_with_the_block(tmp_path, case)
     with pytest.raises(FormatError) as info:
         trn.load_model(path)
     assert str(path) in str(info.value) and named in str(info.value)
+
+
+def test_the_trainer_sizes_an_epoch_without_building_one(tmp_path, synth_root, monkeypatch):
+    # the loader is a forked child, so its own calls do not reach `calls`
+    calls, real_batches = [], dat.batches
+    monkeypatch.setattr(dat, "batches", lambda *args: calls.append(args) or real_batches(*args))
+    recipe = toy_recipe(epochs=1, warmup_epochs=0)
+    result = trn.train(recipe, synth_root, toy_model(), tmp_path / "run", eval_every=0)
+    assert calls == []
+    assert result.steps == dat.epoch_steps(len(synth_root), recipe.batch_size, recipe.repeated_aug)
+
+
+@pytest.mark.parametrize("entry", ["train", "finetune"])
+def test_a_negative_eval_every_is_refused_before_the_loader_starts(tmp_path, synth_root, entry):
+    config, recipe = trn.resolve_run(toy_recipe(), toy_model())
+    with pytest.raises(ParameterError, match=r"eval_every .*got -3"):
+        if entry == "train":
+            trn.train(recipe, synth_root, config, tmp_path / "run", eval_every=-3)
+        else:
+            pre = tmp_path / "pre.ckpt"
+            arrays = ckpt.pack_training_state(mdl.init(config, Rng(0)))
+            ckpt.save_checkpoint(pre, trn.run_record(config, recipe), arrays)
+            trn.finetune(pre, recipe, synth_root, tmp_path / "run", eval_every=-3)
+    assert not (tmp_path / "run").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_train_too_small_dataset_for_sampler(tmp_path):
