@@ -315,7 +315,7 @@ def _run_training(
     steps_per_epoch = dat.epoch_steps(len(manifest), recipe.batch_size, recipe.repeated_aug)
     if steps_per_epoch == 0:
         raise ParameterError(
-            "dataset too small for one full batch under the repeated-aug sampler"
+            f"dataset too small for one batch of {recipe.batch_size}: {len(manifest)} images"
         )
     schedule = schedule_from_recipe(recipe, steps_per_epoch)
     state = opt.init_lamb_state(params)

@@ -935,3 +935,9 @@ def test_train_too_small_dataset_for_sampler(tmp_path):
     )
     with pytest.raises(ParameterError):
         trn.train(toy_recipe(batch_size=64), manifest, toy_model(), tmp_path / "x")
+
+
+def test_train_on_an_empty_manifest_fails_typed(tmp_path):
+    manifest = dat.DatasetManifest(root=tmp_path, entries=(), num_classes=2)
+    with pytest.raises(ParameterError, match="too small for one batch of 8: 0 images"):
+        trn.train(toy_recipe(repeated_aug=False), manifest, toy_model(), tmp_path / "x")
