@@ -111,7 +111,10 @@ def unpack_training_state(arrays: Dict[str, np.ndarray], shapes: Dict[str, Tuple
     The parameters are taken in `shapes`' order, then with a step their two
     moments and the one-value step, each checked as it is taken. FormatError
     names the first that is missing or of another shape, a step that is not
-    one integer >= 0, or else a tensor that was not taken."""
+    one integer >= 0, or else a tensor that was not taken.
+
+    Takes ownership of `arrays`: each tensor is taken as f32, with no copy
+    when it is f32 already, so the caller must not reuse them."""
     left = dict(arrays)
 
     def take(name: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -120,18 +123,12 @@ def unpack_training_state(arrays: Dict[str, np.ndarray], shapes: Dict[str, Tuple
         arr = left.pop(name)
         if arr.shape != shape:
             raise FormatError(f"checkpoint tensor {name!r}: shape {arr.shape}, not {shape}")
-        return arr
+        return arr.astype(np.float32, copy=False)
 
-    params = {
-        name: Tensor(take(name, shape), requires_grad=True, dtype=np.float32)
-        for name, shape in shapes.items()
-    }
+    params = {name: Tensor(take(name, shape), requires_grad=True) for name, shape in shapes.items()}
     state = None
     if OPT_PREFIX + "step" in left:
-        m, v = (
-            {n: take(f"{OPT_PREFIX}{k}.{n}", s).astype(np.float32) for n, s in shapes.items()}
-            for k in "mv"
-        )
+        m, v = ({n: take(f"{OPT_PREFIX}{k}.{n}", s) for n, s in shapes.items()} for k in "mv")
         (step,) = take(OPT_PREFIX + "step", (1,)).tolist()
         if not (step.is_integer() and step >= 0):
             raise FormatError(f"checkpoint opt.step must be one integer >= 0, got {[step]}")

@@ -108,8 +108,9 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 class TapeNode:
     """One recorded op: the graph handles of its inputs and how to push
-    gradients back. A handle is a leaf or untracked input itself, or the
-    data-free vertex of a tracked op's output (see `_make`)."""
+    gradients back, until a backward consumes it (see `backward`). A handle
+    is a leaf or untracked input itself, or the data-free vertex of a
+    tracked op's output (see `_make`)."""
 
     __slots__ = ("inputs", "grad_fn")
 
@@ -667,7 +668,11 @@ def drop_path_scale(x: Tensor, keep_mask: np.ndarray, scale_factor: float) -> Te
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into `.grad` of every requires_grad leaf."""
+    """Accumulate d(loss)/d(leaf) into `.grad` of every requires_grad leaf.
+
+    It consumes the tape: each node drops its rule, with the arrays the rule
+    reads, and its inputs once it has run. A second backward through a
+    consumed node raises ContractError."""
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {tuple(loss.shape)}")
     if not loss.requires_grad:
@@ -689,6 +694,8 @@ def backward(loss: Tensor) -> None:
         visited.add(id(t))
         stack.append((t, True))
         if t.node is not None:
+            if t.node.grad_fn is None:
+                raise ContractError("backward: the tape was already used by a backward")
             for inp in t.node.inputs:
                 if inp.requires_grad and id(inp) not in visited:
                     stack.append((inp, False))
@@ -696,16 +703,19 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for t in reversed(topo):
         g = grads.pop(id(t), None)
+        node = t.node
+        if node is not None:
+            grad_fn, inputs = node.grad_fn, node.inputs
+            node.grad_fn, node.inputs = None, ()
         if g is None:
             continue
-        if t.node is None:
+        if node is None:
             if t.grad is None:
                 t.grad = g.copy()
             else:
                 t.grad += g
             continue
-        input_grads = t.node.grad_fn(g)
-        for inp, gi in zip(t.node.inputs, input_grads):
+        for inp, gi in zip(inputs, grad_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue
             # out-of-place: grad_fns may hand back views or share one array

@@ -4,6 +4,7 @@ resampling."""
 
 import importlib
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -125,6 +126,28 @@ def test_activation_bytes_are_what_the_tape_holds(monkeypatch, config, b, dtype)
     assert expected["total"] == (
         expected["patch_embed"] + config.depth * expected["block"] + expected["head"]
     )
+
+
+def test_backward_frees_the_arrays_the_tape_held():
+    params = tiny_params(dtype=np.float32)
+    logits = mdl.forward(TINY, params, batch(2, dtype=np.float32), mode="train", rng=Rng(4))
+    loss = nm.tensor_sum(logits)
+    saved, nodes, seen = {"deriv": [], "xhat": []}, [loss.node], set()
+    while nodes:
+        node = nodes.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        rule = node.grad_fn
+        for name, cell in zip(rule.__code__.co_freevars, rule.__closure__ or ()):
+            if name in saved:  # GELU's derivative, layernorm's xhat
+                saved[name].append(weakref.ref(cell.cell_contents))
+        nodes.extend(t.node for t in node.inputs)
+    # one GELU and two layernorms per block, and the final norm
+    assert (len(saved["deriv"]), len(saved["xhat"])) == (TINY.depth, 2 * TINY.depth + 1)
+    nm.backward(loss)
+    assert sum(ref() is not None for refs in saved.values() for ref in refs) == 0
+    assert logits.data.shape == (2, TINY.num_classes) and np.isfinite(loss.data).all()
 
 
 def perfbench_tracer(monkeypatch):

@@ -739,6 +739,27 @@ def test_backward_rejects_non_scalar():
         nm.backward(nm.scale(x, 2.0))
 
 
+def test_a_second_backward_of_one_loss_is_refused():
+    x = Tensor(randn(3, seed=65), requires_grad=True, dtype=np.float64)
+    loss = nm.tensor_sum(nm.mul(x, x))
+    nm.backward(loss)
+    with pytest.raises(ContractError, match="already used by a backward"):
+        nm.backward(loss)
+    np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-12)  # the refusal added nothing
+
+
+def test_a_backward_through_a_consumed_sub_graph_is_refused():
+    x = Tensor(randn(3, seed=66), requires_grad=True, dtype=np.float64)
+    y = nm.mul(x, x)
+    nm.backward(nm.tensor_sum(y))
+    w = Tensor(randn(3, seed=67), requires_grad=True, dtype=np.float64)
+    with pytest.raises(ContractError, match="already used by a backward"):
+        nm.backward(nm.tensor_sum(nm.mul(y, w)))
+    assert w.grad is None
+    nm.backward(nm.tensor_sum(nm.mul(nm.mul(x, x), w)))  # a fresh forward has a tape
+    np.testing.assert_allclose(w.grad, x.data * x.data, rtol=1e-12)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         nm.matmul(Tensor(randn(2, 3, seed=38)), Tensor(randn(4, 2, seed=39)))

@@ -2,9 +2,11 @@
 finetune wiring, abort contract, the loader process."""
 
 import contextlib
+import ctypes
 import gc
 import multiprocessing
 import os
+import platform
 import re
 import signal
 import struct
@@ -147,6 +149,17 @@ def test_pack_unpack_training_state():
     assert back_state.step == 9
     np.testing.assert_array_equal(back_state.m["w.weight"], 0.25)
     np.testing.assert_array_equal(back_params["w.weight"].data, params["w.weight"].data)
+
+
+def test_unpack_takes_the_loaded_arrays_without_a_copy(tmp_path):
+    params = {"w": Tensor(np.ones((2, 3), np.float32), requires_grad=True)}
+    state = opt.init_lamb_state(params)
+    ckpt.save_checkpoint(tmp_path / "c.ckpt", {}, ckpt.pack_training_state(params, state))
+    _, arrays = ckpt.load_checkpoint(tmp_path / "c.ckpt")
+    back, back_state = ckpt.unpack_training_state(dict(arrays), {"w": (2, 3)})
+    assert np.shares_memory(back["w"].data, arrays["w"])
+    assert np.shares_memory(back_state.m["w"], arrays["opt.m.w"])
+    assert np.shares_memory(back_state.v["w"], arrays["opt.v.w"])
 
 
 def test_unpack_without_moments_gives_none():
@@ -637,10 +650,8 @@ def test_evaluate_logits_match_the_tracked_forward(synth_root, monkeypatch):
         assert np.array_equal(out.data, tracked.data)
 
 
-def _traced_heap_in_epoch_1(manifest, out_dir, monkeypatch):
-    """The trainer's traced heap at the first step of epoch 1, after epoch
-    0's eval of the whole manifest."""
-    recipe = toy_recipe(epochs=2)
+def _traced_heaps_at_step_starts(recipe, manifest, out_dir, monkeypatch):
+    """The trainer's traced heap at each step's start, and the run's result."""
     real_cosine_lr, readings = opt.cosine_lr, []
 
     def cosine_lr(schedule, step):
@@ -654,6 +665,14 @@ def _traced_heap_in_epoch_1(manifest, out_dir, monkeypatch):
         result = trn.train(recipe, manifest, toy_model(), out_dir)
     finally:
         tracemalloc.stop()
+    return readings, result
+
+
+def _traced_heap_in_epoch_1(manifest, out_dir, monkeypatch):
+    """The trainer's traced heap at the first step of epoch 1, after epoch
+    0's eval of the whole manifest."""
+    recipe = toy_recipe(epochs=2)
+    readings, result = _traced_heaps_at_step_starts(recipe, manifest, out_dir, monkeypatch)
     return readings[result.steps // recipe.epochs]
 
 
@@ -667,6 +686,36 @@ def test_trainer_memory_does_not_grow_with_the_manifest(tmp_path, monkeypatch):
     # kept per-image eval inputs would add 96 prepared (3, 16, 16) f32 images
     extra_images_bytes = 96 * 3 * 16 * 16 * 4
     assert heaps[2] - heaps[1] < extra_images_bytes / 10, heaps
+
+
+def test_trainer_holds_no_tape_at_a_step_start(tmp_path, synth_root, monkeypatch):
+    recipe = toy_recipe(epochs=2)
+    readings, result = _traced_heaps_at_step_starts(recipe, synth_root, tmp_path, monkeypatch)
+    assert len(readings) == result.steps > 2
+    base = replace(toy_model(), layerscale_init=recipe.layerscale_init)
+    config, _ = trn.resolve_run(recipe, base)
+    one_tape = mdl.count_activation_bytes(config, recipe.batch_size)["total"]
+    # a step that kept the last one's tape would hold it here, on top of step 0
+    excess = [r - readings[0] for r in readings[1:]]
+    assert max(excess) < one_tape, (excess, one_tape)
+
+
+def test_train_sets_the_allocator_only_on_glibc(tmp_path, synth_root, monkeypatch):
+    recipe = toy_recipe(epochs=1, warmup_epochs=0)
+    real_cdll, opened = ctypes.CDLL, []
+
+    def cdll(*args, **kwargs):
+        opened.append(args)
+        return real_cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    with monkeypatch.context() as m:
+        m.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
+        other = trn.train(recipe, synth_root, toy_model(), tmp_path / "other")
+    assert opened == []
+    glibc = trn.train(recipe, synth_root, toy_model(), tmp_path / "glibc")
+    assert opened == ([(None,)] if platform.libc_ver()[0] == "glibc" else [])
+    assert other.checkpoint_path.read_bytes() == glibc.checkpoint_path.read_bytes()
 
 
 # -- the effective run -----------------------------------------------------------
