@@ -378,9 +378,10 @@ def count_activation_bytes(config: ViTConfig, batch: int, dtype=np.float32) -> D
     Counts each base buffer the tape holds once, parameters and the input
     images excluded, and the logits included. That is what the backward
     rules read (after Korthikanti et al., arXiv 2205.05198, §4): matmul
-    operands, layernorm's xhat and 1/σ, attention's qkv and softmax output
-    (its result is the projection's operand), GELU's derivative, the branch
-    outputs the LayerScale gates multiply and the drop-path factors.
+    operands, layernorm's xhat and 1/σ, attention's qkv and the max and
+    sum of each softmax row, from which backward makes P again (its result
+    is the projection's operand), GELU's derivative, the branch outputs
+    the LayerScale gates multiply and the drop-path factors.
     Returns `patch_embed` (the patchified copy), `block` (one block),
     `head` (final norm, class-token rows and logits) and `total`.
     """
@@ -393,7 +394,7 @@ def count_activation_bytes(config: ViTConfig, batch: int, dtype=np.float32) -> D
         2 * (btd + b * t)  # each layernorm: xhat and 1/σ
         + 2 * btd  # each layernorm's output, read by the matmul after it
         + 3 * btd  # qkv, which attention reads q, k and v from
-        + b * h * t * t  # attention's softmax output P
+        + 2 * b * h * t  # attention's softmax row max and sum
         + btd  # heads merged: attention's result and the projection's input
         + 2 * btd  # attention and MLP branch outputs, read by LayerScale
         + 2 * b * t * m  # GELU's derivative and output

@@ -17,6 +17,11 @@ both run on the calling thread. Each output element comes from the same
 numpy or BLAS call on the same slice either way, so the bytes do not depend
 on the number of CPUs. A linear layer's leading axes are flattened into the
 rows of one gemm per half.
+
+A tracked op keeps only what its backward rule reads. `attention` keeps no
+(B, H, T, T) array: its backward makes the scores again with `matmul`'s own
+forward product, cut the same way, and the softmax P from them with the
+forward's passes and each row's saved max and sum, so every bit is the same.
 """
 
 from __future__ import annotations
@@ -268,22 +273,10 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         )
     a_data, b_data = a.data, b.data
     has_bias = bias is not None
-    bias_data = bias.data if has_bias else None
     parts = 2 if a.requires_grad else 1  # 1: aᵀ·g alone, as for the patchified images
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a_data, b_data))
     rows, out_rows = (a_data, out) if batched else (_rows(a_data), _rows(out))
-
-    def part(lo, hi):
-        o = out_rows[lo:hi]
-        np.matmul(rows[lo:hi], b_data[lo:hi] if batched else b_data, out=o)
-        if has_bias:
-            np.add(o, bias_data, out=o)
-
-    m = len(rows)
-    if m < 4:  # a half of one row would run as a gemv
-        part(0, m)
-    else:
-        _split(part, m, out.size)
+    _gemm(rows, b_data, out_rows, bias.data if has_bias else None)
 
     def grad_fn(g):
         grads = [None, None]  # aᵀ·g on the helper, g·bᵀ on the caller; neither split
@@ -302,6 +295,25 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn)
 
 
+def _gemm(rows: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None) -> None:
+    """`out` = `rows` @ `b` (+ `bias`), `matmul`'s forward product: a matrix
+    by a matrix, or a stack by an equal stack, cut in halves by `_split`, so
+    a product made again from the same operands has the same bits."""
+    batched = b.ndim > 2
+
+    def part(lo, hi):
+        o = out[lo:hi]
+        np.matmul(rows[lo:hi], b[lo:hi] if batched else b, out=o)
+        if bias is not None:
+            np.add(o, bias, out=o)
+
+    m = len(rows)
+    if m < 4:  # a half of one row would run as a gemv
+        part(0, m)
+    else:
+        _split(part, m, out.size)
+
+
 def attention(qkv: Tensor, num_heads: int) -> Tensor:
     """Multi-head self-attention, as one node from the (B, T, 3D) qkv
     product to the (B, T, D) merged heads that the output projection reads.
@@ -310,11 +322,15 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
     views of it. The forward is the composition it replaces, in its order,
     so it has the same bits: q·dh^-0.5, the product with kᵀ, the softmax P,
     the product with v. Both products go through `matmul` on untracked
-    tensors. The tape keeps qkv, P and the result, which the output
-    projection keeps anyway. Backward applies the softmax rule of
-    FlashAttention (arXiv 2205.14135, §3.1), dS = P∘(dP − rowsum(dO∘O)),
-    and writes dq = s·dS·K, dk = s·dSᵀ·Q and dv = Pᵀ·dO, with s = dh^-0.5,
-    through strided views into one qkv-shaped array.
+    tensors. The tape keeps qkv, the result, which the output projection
+    keeps anyway, and each softmax row's max and sum, not P: backward makes
+    the scores again with the forward's own gemm (`_gemm`, the same cut)
+    and P from them with the forward's own passes against the saved max
+    and sum, so P and every gradient keep their bits (FlashAttention, arXiv
+    2205.14135, §3.1, keeps the same two statistics). It then applies the
+    softmax rule dS = P∘(dP − rowsum(dO∘O)), and writes dq = s·dS·K,
+    dk = s·dSᵀ·Q and dv = Pᵀ·dO, with s = dh^-0.5, through strided views
+    into one qkv-shaped array.
     """
     if qkv.ndim != 3:
         raise DimensionError(f"attention: qkv must be (B, T, 3D), got {tuple(qkv.shape)}")
@@ -330,11 +346,15 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
     # kᵀ is copied: OpenBLAS ran the strided one slower and, at dh = 64,
     # with other bits
     scores = matmul(Tensor(q * s), Tensor(np.ascontiguousarray(k.swapaxes(-1, -2)))).data
-    p = _softmax(scores, out=scores)
+    p, stats = _softmax(scores, out=scores)
     heads = matmul(Tensor(p), Tensor(v)).data  # (B, H, T, dh)
     out = heads.transpose(0, 2, 1, 3).reshape(b, t, width // 3)
 
     def grad_fn(g):
+        # P again: the forward's operands, product and passes, so its bits
+        p = np.empty((b, num_heads, t, t), qkv_data.dtype)
+        _gemm(q * s, np.ascontiguousarray(k.swapaxes(-1, -2)), p)
+        _softmax(p, out=p, stats=stats)
         grad = np.empty((b, t, 3, num_heads, dh), qkv_data.dtype)
         dq, dk, dv = grad.transpose(2, 0, 3, 1, 4)
         do = g.reshape(b, t, num_heads, dh)
@@ -504,7 +524,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    out = _softmax(x.data)
+    out, _ = _softmax(x.data)
 
     def grad_fn(g):
         gx = np.multiply(g, out)
@@ -516,23 +536,34 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), grad_fn)
 
 
-def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None, stats: Optional[np.ndarray] = None):
     """Softmax of `x` over its last axis into `out` (fresh when None; `x`
-    itself is allowed, and a given `out` must be C-contiguous). Each pass
-    rewrites one array, with the bits of the out-of-place formula, and the
-    rows are split."""
+    itself is allowed, and a given `out` must be C-contiguous), and its row
+    statistics: a (2, rows, 1) array of each row's max and sum of exps.
+    Each pass rewrites one array, with the bits of the out-of-place
+    formula, and the rows are split. Given the `stats` of an earlier call
+    on the same `x`, it takes them in place of the max and the sum, and so
+    makes that call's result again, bit for bit."""
     if out is None:
         out = np.empty(x.shape, x.dtype)
     xs, outs = _rows(x), _rows(out)
+    rebuild = stats is not None
+    if not rebuild:
+        stats = np.empty((2, xs.shape[0], 1), x.dtype)
+    top, total = stats
 
     def rows(lo, hi):
         x_, out_ = xs[lo:hi], outs[lo:hi]
-        np.subtract(x_, x_.max(axis=-1, keepdims=True), out=out_)
+        if not rebuild:
+            np.max(x_, axis=-1, keepdims=True, out=top[lo:hi])
+        np.subtract(x_, top[lo:hi], out=out_)
         np.exp(out_, out=out_)
-        np.divide(out_, out_.sum(axis=-1, keepdims=True), out=out_)
+        if not rebuild:
+            np.sum(out_, axis=-1, keepdims=True, out=total[lo:hi])
+        np.divide(out_, total[lo:hi], out=out_)
 
     _split(rows, xs.shape[0], xs.size)
-    return out
+    return out, stats
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -582,7 +613,10 @@ _AS_HALF_S = tuple(
     0.5 * sum(math.comb(k, j) * a for k, a in enumerate(_AS_A, start=1) if k >= j)
     for j in range(5, -1, -1)
 )
-_GELU_BLOCK = 1 << 16  # elements per block: x, out and three buffers stay in L2
+# Elements per block, 64 Ki per part: on one part 128 Ki ran ~9% slower, as x,
+# out and three buffers leave L2; two parts contend for the GIL between numpy
+# calls, and there 128 Ki, half the calls, ran 8-12% faster. Same bytes at any size.
+_GELU_BLOCK = _PARTS << 16
 
 
 def _gelu_f32(x: np.ndarray, tracked: bool):

@@ -192,6 +192,21 @@ def test_gelu_f32_blocks_match_per_element_results():
         assert v[0] == value[i] and d[0] == deriv[i], i
 
 
+def test_gelu_f32_bytes_do_not_depend_on_the_block_size_or_parts(monkeypatch):
+    x = np.random.default_rng(54).normal(scale=3.0, size=3 * (1 << 18) + 7).astype(np.float32)
+    x[:: x.size // 49][:49] = np.tile(SPECIAL_VALUES, 7)  # spread over every block
+    results = []
+    for parts in (1, 2):
+        for block in (1 << 14, 1 << 16, 1 << 17, 1 << 18):
+            monkeypatch.setattr(nm, "_PARTS", parts)
+            monkeypatch.setattr(nm, "_GELU_BLOCK", block)
+            value, deriv = gelu_and_derivative(x)
+            untracked = nm.gelu(Tensor(x)).data
+            results.append((value.tobytes(), deriv.tobytes(), untracked.tobytes()))
+    assert results[0][0] == results[0][2]
+    assert all(r == results[0] for r in results)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_tracked_call_saves_one_array(dtype):
     x = Tensor(randn(4, 5, seed=53), requires_grad=True, dtype=dtype)
@@ -429,6 +444,65 @@ def test_attention_f32_forward_bits_and_gradients_match_the_composition(b, t, he
     # two within 1.2e-6·max|grad| of each other (measured)
     assert grads[0].dtype == np.float32
     assert np.abs(grads[0] - grads[1]).max() < 1e-5 * np.abs(grads[1]).max()
+
+
+def attention_backward_reference(qkv, num_heads, g):
+    """The qkv gradient of `nm.attention` computed from the softmax P saved
+    by the forward: the rule's passes, cut by the same `_split`."""
+    b, t, width = qkv.shape
+    dh = width // (3 * num_heads)
+    s = dh**-0.5
+    q, k, v = qkv.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
+    scores = nm.matmul(Tensor(q * s), Tensor(np.ascontiguousarray(k.swapaxes(-1, -2)))).data
+    p = nm.softmax(Tensor(scores)).data
+    o = np.ascontiguousarray(nm.matmul(Tensor(p), Tensor(v)).data.transpose(0, 2, 1, 3))
+    do = g.reshape(b, t, num_heads, dh)
+    grad = np.empty((b, t, 3, num_heads, dh), qkv.dtype)
+    dq, dk, dv = grad.transpose(2, 0, 3, 1, 4)
+
+    def part(lo, hi):
+        rows = np.einsum("bthd,bthd->bht", do[lo:hi], o[lo:hi])
+        do_ = do[lo:hi].transpose(0, 2, 1, 3)
+        np.matmul(p[lo:hi].swapaxes(-1, -2), do_, out=dv[lo:hi])
+        ds = do_ @ np.ascontiguousarray(v[lo:hi].swapaxes(-1, -2))
+        ds = (ds - rows[..., None]) * p[lo:hi]
+        np.matmul(ds, k[lo:hi], out=dq[lo:hi])
+        np.multiply(dq[lo:hi], s, out=dq[lo:hi])
+        np.matmul(ds.swapaxes(-1, -2), q[lo:hi], out=dk[lo:hi])
+        np.multiply(dk[lo:hi], s, out=dk[lo:hi])
+
+    nm._split(part, b, p.size)
+    return grad.reshape(b, t, width)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize(
+    "b,t,heads,dh", [(64, 65, 4, 16), (64, 37, 3, 64)], ids=["toy", "vit-t-96"]
+)
+def test_attention_gradient_from_rebuilt_p_equals_saved_p_bytes(
+    monkeypatch, parts, b, t, heads, dh
+):
+    monkeypatch.setattr(nm, "_PARTS", parts)
+    qkv, g = f32(b, t, 3 * heads * dh, seed=99), f32(b, t, heads * dh, seed=100)
+    [grad] = nm.attention(Tensor(qkv, requires_grad=True), heads).node.grad_fn(g)
+    assert grad.dtype == np.float32
+    assert grad.tobytes() == attention_backward_reference(qkv, heads, g).tobytes()
+
+
+def test_attention_tape_keeps_qkv_the_result_and_two_row_statistics():
+    b, t, heads, dh = 64, 65, 4, 16
+    qkv = _tracked(b, t, 3 * heads * dh, seed=101)
+    out = nm.attention(qkv, heads)
+    held = {}
+    for cell in out.node.grad_fn.__closure__:
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[id(value)] = value
+    assert all(a.size < b * heads * t * t for a in held.values())  # no P, no scores
+    row_stats = 2 * b * heads * t * 4  # each softmax row's max and sum, f32
+    assert sum(a.nbytes for a in held.values()) == qkv.data.nbytes + out.data.nbytes + row_stats
 
 
 def test_attention_rejects_bad_shapes():
