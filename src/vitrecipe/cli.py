@@ -16,11 +16,12 @@ from . import data as dat
 from . import model as mdl
 from . import optim as opt
 from . import training as trn
-from .config import PRESET_NAMES, load_recipe
+from .config import PRESET_NAMES, RecipeConfig, load_recipe
+from .errors import ParameterError
 from .rng import Rng
 
 
-def _recipe_from_args(args) -> "RecipeConfig":
+def _recipe_from_args(args) -> RecipeConfig:
     recipe = load_recipe(
         config_path=args.config, preset_name=args.preset, overrides=args.override
     )
@@ -76,6 +77,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"--count must be at least 1, got {args.count}")
     recipe = _recipe_from_args(args)
     manifest = dat.load_manifest(args.data)
     policy = trn.policy_from_recipe(recipe)

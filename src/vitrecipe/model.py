@@ -23,8 +23,6 @@ from .rng import Rng
 
 ViTParams = Dict[str, Tensor]
 
-LN_EPS = 1e-6
-
 
 @dataclass(frozen=True)
 class ViTConfig:
@@ -249,16 +247,16 @@ def forward(
 
     for i in range(config.depth):
         pre = f"blocks.{i}."
-        y = nm.layernorm(x, params[pre + "norm1.weight"], params[pre + "norm1.bias"], LN_EPS)
+        y = nm.layernorm(x, params[pre + "norm1.weight"], params[pre + "norm1.bias"])
         y = _attention(y, params, pre, config.num_heads)
         y = nm.mul(y, params[pre + "ls1"])
         x = nm.add(x, maybe_drop(y))
-        y = nm.layernorm(x, params[pre + "norm2.weight"], params[pre + "norm2.bias"], LN_EPS)
+        y = nm.layernorm(x, params[pre + "norm2.weight"], params[pre + "norm2.bias"])
         y = _mlp(y, params, pre)
         y = nm.mul(y, params[pre + "ls2"])
         x = nm.add(x, maybe_drop(y))
 
-    x = nm.layernorm(x, params["norm.weight"], params["norm.bias"], LN_EPS)
+    x = nm.layernorm(x, params["norm.weight"], params["norm.bias"])
     cls_out = nm.reshape(nm.narrow(x, 1, 0, 1), (b, config.embed_dim))
     return nm.matmul(cls_out, params["head.weight"], params["head.bias"])
 

@@ -19,9 +19,9 @@ on the number of CPUs. A linear layer's leading axes are flattened into the
 rows of one gemm per half.
 
 A tracked op keeps only what its backward rule reads. `attention` keeps no
-(B, H, T, T) array: its backward makes the scores again with `matmul`'s own
-forward product, cut the same way, and the softmax P from them with the
-forward's passes and each row's saved max and sum, so every bit is the same.
+(B, H, T, T) array: its backward makes each half's scores and softmax P
+again with the calls the forward made on those matrices and each row's saved
+max and sum, so every bit is the same.
 """
 
 from __future__ import annotations
@@ -276,7 +276,19 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     parts = 2 if a.requires_grad else 1  # 1: aᵀ·g alone, as for the patchified images
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a_data, b_data))
     rows, out_rows = (a_data, out) if batched else (_rows(a_data), _rows(out))
-    _gemm(rows, b_data, out_rows, bias.data if has_bias else None)
+    bias_data = bias.data if has_bias else None
+
+    def part(lo, hi):
+        o = out_rows[lo:hi]
+        np.matmul(rows[lo:hi], b_data[lo:hi] if batched else b_data, out=o)
+        if has_bias:
+            np.add(o, bias_data, out=o)
+
+    m = len(rows)
+    if m < 4:  # a half of one row would run as a gemv
+        part(0, m)
+    else:
+        _split(part, m, out.size)
 
     def grad_fn(g):
         grads = [None, None]  # aᵀ·g on the helper, g·bᵀ on the caller; neither split
@@ -295,25 +307,6 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _make(out, (a, b, bias) if has_bias else (a, b), grad_fn)
 
 
-def _gemm(rows: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None) -> None:
-    """`out` = `rows` @ `b` (+ `bias`), `matmul`'s forward product: a matrix
-    by a matrix, or a stack by an equal stack, cut in halves by `_split`, so
-    a product made again from the same operands has the same bits."""
-    batched = b.ndim > 2
-
-    def part(lo, hi):
-        o = out[lo:hi]
-        np.matmul(rows[lo:hi], b[lo:hi] if batched else b, out=o)
-        if bias is not None:
-            np.add(o, bias, out=o)
-
-    m = len(rows)
-    if m < 4:  # a half of one row would run as a gemv
-        part(0, m)
-    else:
-        _split(part, m, out.size)
-
-
 def attention(qkv: Tensor, num_heads: int) -> Tensor:
     """Multi-head self-attention, as one node from the (B, T, 3D) qkv
     product to the (B, T, D) merged heads that the output projection reads.
@@ -323,14 +316,15 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
     so it has the same bits: q·dh^-0.5, the product with kᵀ, the softmax P,
     the product with v. Both products go through `matmul` on untracked
     tensors. The tape keeps qkv, the result, which the output projection
-    keeps anyway, and each softmax row's max and sum, not P: backward makes
-    the scores again with the forward's own gemm (`_gemm`, the same cut)
-    and P from them with the forward's own passes against the saved max
-    and sum, so P and every gradient keep their bits (FlashAttention, arXiv
-    2205.14135, §3.1, keeps the same two statistics). It then applies the
-    softmax rule dS = P∘(dP − rowsum(dO∘O)), and writes dq = s·dS·K,
-    dk = s·dSᵀ·Q and dv = Pᵀ·dO, with s = dh^-0.5, through strided views
-    into one qkv-shaped array.
+    keeps anyway, and each softmax row's max and sum, not P. Backward runs
+    one pass per batch half (FlashAttention, arXiv 2205.14135, Alg. 4,
+    keeps the same two statistics). It makes that half's scores and P again
+    with the forward's calls on those matrices and the saved max and sum,
+    so P and every gradient keep their bits: numpy runs a stacked product
+    one matrix at a time, whatever the slice. It then applies the softmax
+    rule dS = P∘(dP − rowsum(dO∘O)), and writes dq = s·dS·K, dk = s·dSᵀ·Q
+    and dv = Pᵀ·dO, with s = dh^-0.5, through strided views into one
+    qkv-shaped array.
     """
     if qkv.ndim != 3:
         raise DimensionError(f"attention: qkv must be (B, T, 3D), got {tuple(qkv.shape)}")
@@ -347,24 +341,28 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
     # with other bits
     scores = matmul(Tensor(q * s), Tensor(np.ascontiguousarray(k.swapaxes(-1, -2)))).data
     p, stats = _softmax(scores, out=scores)
+    top, total = stats.reshape(2, b, num_heads, t, 1)
     heads = matmul(Tensor(p), Tensor(v)).data  # (B, H, T, dh)
     out = heads.transpose(0, 2, 1, 3).reshape(b, t, width // 3)
 
     def grad_fn(g):
-        # P again: the forward's operands, product and passes, so its bits
+        # P on the calling thread: made in `part`, the toy's peak RSS rose ~2 MiB
         p = np.empty((b, num_heads, t, t), qkv_data.dtype)
-        _gemm(q * s, np.ascontiguousarray(k.swapaxes(-1, -2)), p)
-        _softmax(p, out=p, stats=stats)
         grad = np.empty((b, t, 3, num_heads, dh), qkv_data.dtype)
         dq, dk, dv = grad.transpose(2, 0, 3, 1, 4)
         do = g.reshape(b, t, num_heads, dh)
         o = out.reshape(b, t, num_heads, dh)
 
         def part(lo, hi):  # batch elements [lo, hi)
+            p_, q_, k_, dq_, dk_ = p[lo:hi], q[lo:hi], k[lo:hi], dq[lo:hi], dk[lo:hi]
+            # P again, with the forward's calls on these matrices, so its bits
+            np.matmul(q_ * s, np.ascontiguousarray(k_.swapaxes(-1, -2)), out=p_)
+            np.subtract(p_, top[lo:hi], out=p_)
+            np.exp(p_, out=p_)
+            np.divide(p_, total[lo:hi], out=p_)
             # rowsum(dP∘P) = rowsum(dO∘O), read from the (B, T, D) arrays
             rows = np.einsum("bthd,bthd->bht", do[lo:hi], o[lo:hi])
             do_ = do[lo:hi].transpose(0, 2, 1, 3)
-            p_, q_, k_, dq_, dk_ = p[lo:hi], q[lo:hi], k[lo:hi], dq[lo:hi], dk[lo:hi]
             np.matmul(p_.swapaxes(-1, -2), do_, out=dv[lo:hi])
             ds = do_ @ np.ascontiguousarray(v[lo:hi].swapaxes(-1, -2))  # dP
             np.subtract(ds, rows[..., None], out=ds)
@@ -536,30 +534,23 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), grad_fn)
 
 
-def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None, stats: Optional[np.ndarray] = None):
+def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None):
     """Softmax of `x` over its last axis into `out` (fresh when None; `x`
     itself is allowed, and a given `out` must be C-contiguous), and its row
     statistics: a (2, rows, 1) array of each row's max and sum of exps.
     Each pass rewrites one array, with the bits of the out-of-place
-    formula, and the rows are split. Given the `stats` of an earlier call
-    on the same `x`, it takes them in place of the max and the sum, and so
-    makes that call's result again, bit for bit."""
+    formula, and the rows are split."""
     if out is None:
         out = np.empty(x.shape, x.dtype)
     xs, outs = _rows(x), _rows(out)
-    rebuild = stats is not None
-    if not rebuild:
-        stats = np.empty((2, xs.shape[0], 1), x.dtype)
-    top, total = stats
+    top, total = stats = np.empty((2, xs.shape[0], 1), x.dtype)
 
     def rows(lo, hi):
         x_, out_ = xs[lo:hi], outs[lo:hi]
-        if not rebuild:
-            np.max(x_, axis=-1, keepdims=True, out=top[lo:hi])
+        np.max(x_, axis=-1, keepdims=True, out=top[lo:hi])
         np.subtract(x_, top[lo:hi], out=out_)
         np.exp(out_, out=out_)
-        if not rebuild:
-            np.sum(out_, axis=-1, keepdims=True, out=total[lo:hi])
+        np.sum(out_, axis=-1, keepdims=True, out=total[lo:hi])
         np.divide(out_, total[lo:hi], out=out_)
 
     _split(rows, xs.shape[0], xs.size)

@@ -123,21 +123,23 @@ def lamb_step(
     Per tensor: Adam moments with bias correction, r = m_hat/(sqrt(v_hat)+eps),
     u = r + wd*w, then w -= lr * (|w|/|u|) * u with the trust ratio replaced
     by 1 when either norm vanishes. With use_trust_ratio=False the ratio is
-    pinned to 1 and the rule is exactly AdamW.
+    pinned to 1 and the rule is exactly AdamW. A missing or non-finite
+    gradient raises `ContractError` before anything is updated.
     """
     if lr < 0:
         raise ParameterError(f"lr must be non-negative, got {lr}")
+    for name in params:
+        if name not in grads:
+            raise ContractError(f"lamb_step: missing gradient for '{name}'")
+        if not np.all(np.isfinite(grads[name])):
+            raise ContractError(
+                f"lamb_step: non-finite gradient for '{name}' at step {state.step + 1}"
+            )
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
     for name, param in params.items():
-        if name not in grads:
-            raise ContractError(f"lamb_step: missing gradient for '{name}'")
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise ContractError(
-                f"lamb_step: non-finite gradient for '{name}' at step {state.step}"
-            )
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on a miniature dataset."""
 
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +165,21 @@ def test_augment_preview_writes_img1(dataset, tmp_path, capsys):
         img = dat.load_image(f)
         assert img.pixels.shape == (16, 16, 3)
         assert "_branch" in f.name and f.name.split("_branch")[1][0] in "012"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_augment_preview_of_no_samples_exits_2(dataset, tmp_path, capsys, count):
+    out = tmp_path / "aug"
+    code = cli.main(
+        ["augment-preview", "--data", str(dataset), "--out", str(out), "--count", count]
+    )
+    assert code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_type_hints_resolve():
+    assert typing.get_type_hints(cli._recipe_from_args)["return"] is cfg.RecipeConfig
 
 
 @pytest.mark.parametrize(

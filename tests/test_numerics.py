@@ -477,7 +477,11 @@ def attention_backward_reference(qkv, num_heads, g):
 
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize(
-    "b,t,heads,dh", [(64, 65, 4, 16), (64, 37, 3, 64)], ids=["toy", "vit-t-96"]
+    "b,t,heads,dh",
+    [(64, 65, 4, 16), (64, 37, 3, 64), (2, 197, 3, 64), (3, 65, 4, 16), (1, 197, 6, 64)],
+    # below 4 batch elements the forward's gemm runs whole and backward's may
+    # run in halves: P's bits then rest on numpy's one gemm per stacked matrix
+    ids=["toy", "vit-t-96", "b2-vit-t-224", "b3-odd-cut", "b1-vit-s-224"],
 )
 def test_attention_gradient_from_rebuilt_p_equals_saved_p_bytes(
     monkeypatch, parts, b, t, heads, dh

@@ -130,6 +130,24 @@ def test_lamb_step_error_contracts():
         opt.lamb_step(params, {"a.weight": np.zeros((2, 2))}, state, lr=-1.0, weight_decay=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, None], ids=["nan", "inf", "missing"])
+def test_a_refused_lamb_step_changes_nothing(bad):
+    params = make_params({"a.weight": (3, 2), "b.weight": (2, 2)}, seed=7)
+    state = opt.init_lamb_state(params)
+    opt.lamb_step(params, {n: np.full(p.shape, 0.5) for n, p in params.items()}, state,
+                  lr=1e-2, weight_decay=0.05)
+    before = [(p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+              for n, p in params.items()]
+    grads = {"a.weight": np.full((3, 2), 0.5)}  # the first tensor's gradient is fine
+    if bad is not None:
+        grads["b.weight"] = np.array([[0.5, bad], [0.5, 0.5]])
+    with pytest.raises(ContractError, match="'b.weight'"):
+        opt.lamb_step(params, grads, state, lr=1e-2, weight_decay=0.05)
+    assert state.step == 1
+    assert [(p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+            for n, p in params.items()] == before
+
+
 @pytest.mark.parametrize(
     "name,shape,expect",
     [
