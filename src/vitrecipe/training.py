@@ -8,7 +8,8 @@ their own tagged chain, so two runs produce byte-identical checkpoints.
 Metrics go to a CSV ("epoch,step,lr,train_loss,train_acc,val_acc,
 wall_seconds"). The effective run, as `resolve_run` returns it, is recorded
 once by `run_record`: as '#' comment lines above the CSV header and as the
-checkpoint's config block. A non-finite loss aborts the run naming the step.
+checkpoint's config block. Each step is one `train_step`, and LAMB's count
+is the run's step. A non-finite loss aborts the run naming the step.
 
 One loader process per run builds the batches, one step ahead of the
 optimizer; every batch is a pure function of (seed, epoch, step), so the
@@ -313,6 +314,28 @@ def _keep_freed_memory() -> None:
         mallopt(param, _KEEP_FREED_BYTES)
 
 
+def train_step(
+    config: mdl.ViTConfig, recipe: RecipeConfig, params: mdl.ViTParams, state: opt.LambState,
+    images: np.ndarray, targets: np.ndarray, lr: float, rng: Rng,
+) -> float:
+    """One recipe step on one batch, in place on params and state: the train
+    forward with drop path from `rng`, the loss, backward, the clip and LAMB
+    at `lr`. Returns the loss. A non-finite loss raises `ContractError`, naming
+    the step, before anything changes."""
+    logits = mdl.forward(config, params, Tensor(images), mode="train", rng=rng)
+    loss = _loss_fn(recipe, logits, targets)
+    loss_value = float(loss.data)
+    if not np.isfinite(loss_value):
+        raise ContractError(f"non-finite loss at step {state.step}; aborting")
+    nm.backward(loss)  # frees the tape: logits and loss keep their values alone
+    grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+    for p in params.values():
+        p.zero_grad()
+    grads = opt.grad_clip_global_norm(grads, recipe.grad_clip)
+    opt.lamb_step(params, grads, state, lr, recipe.weight_decay)
+    return loss_value
+
+
 def _run_training(
     recipe: RecipeConfig,
     manifest: dat.DatasetManifest,
@@ -327,18 +350,17 @@ def _run_training(
         raise ParameterError(f"eval_every must be at least 0 (0: never), got {eval_every}")
     if val_manifest is not None:
         _check_eval_manifest(config, val_manifest)
-    _keep_freed_memory()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
-    checkpoint_path = out_dir / "checkpoint.ckpt"
-
     steps_per_epoch = dat.epoch_steps(len(manifest), recipe.batch_size, recipe.repeated_aug)
     if steps_per_epoch == 0:
         raise ParameterError(
             f"dataset too small for one batch of {recipe.batch_size}: {len(manifest)} images"
         )
     schedule = schedule_from_recipe(recipe, steps_per_epoch)
+    _keep_freed_memory()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = out_dir / "metrics.csv"
+    checkpoint_path = out_dir / "checkpoint.ckpt"
     state = opt.init_lamb_state(params)
     record = run_record(config, recipe)
     header_info = dict(record, steps_per_epoch=steps_per_epoch, **(extra_header or {}))
@@ -353,35 +375,17 @@ def _run_training(
         for key, value in header_info.items():
             metrics.write(f"# {key}={value}\n")
         metrics.write(METRICS_HEADER + "\n")
-        global_step = 0
         for epoch in range(recipe.epochs):
+            # each eval_every-th epoch and the last: the final accuracy is the final model's
+            last = epoch == recipe.epochs - 1
+            evaluates = eval_every > 0 and ((epoch + 1) % eval_every == 0 or last)
             for step in range(steps_per_epoch):
-                lr = opt.cosine_lr(schedule, global_step)
+                lr = opt.cosine_lr(schedule, state.step)
                 images, targets = receive(epoch, step)
                 drop_rng = Rng(derive_seed(recipe.seed, dat.TAG_DROP, epoch, step))
-                logits = mdl.forward(config, params, Tensor(images), mode="train", rng=drop_rng)
-                loss = _loss_fn(recipe, logits, targets)
-                loss_value = float(loss.data)
-                if not np.isfinite(loss_value):
-                    raise ContractError(
-                        f"non-finite loss at epoch {epoch} step {step} "
-                        f"(global step {global_step}); aborting"
-                    )
-                nm.backward(loss)  # frees the tape: logits and loss keep their values alone
-                grads = {
-                    name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for name, p in params.items()
-                }
-                grads = opt.grad_clip_global_norm(grads, recipe.grad_clip)
-                opt.lamb_step(params, grads, state, lr, recipe.weight_decay)
-                del grads
-                for p in params.values():
-                    p.zero_grad()
-
-                last_of_epoch = step == steps_per_epoch - 1
-                train_acc_s = ""
-                val_acc_s = ""
-                if last_of_epoch and eval_every > 0 and (epoch + 1) % eval_every == 0:
+                loss = train_step(config, recipe, params, state, images, targets, lr, drop_rng)
+                train_acc_s = val_acc_s = ""
+                if evaluates and step == steps_per_epoch - 1:
                     final_train_acc = evaluate(config, params, manifest, recipe.test_crop_ratio)
                     train_acc_s = repr(final_train_acc)
                     if val_manifest is not None:
@@ -391,10 +395,9 @@ def _run_training(
                         val_acc_s = repr(final_val_acc)
                 wall = time.monotonic() - start_time
                 metrics.write(
-                    f"{epoch},{global_step},{lr!r},{loss_value!r},"
+                    f"{epoch},{state.step - 1},{lr!r},{loss!r},"  # LAMB counted this step
                     f"{train_acc_s},{val_acc_s},{wall:.3f}\n"
                 )
-                global_step += 1
 
     save_checkpoint(checkpoint_path, record, pack_training_state(params, state))
     return TrainResult(
@@ -402,7 +405,7 @@ def _run_training(
         metrics_path=metrics_path,
         final_train_acc=final_train_acc,
         final_val_acc=final_val_acc,
-        steps=recipe.epochs * steps_per_epoch,
+        steps=state.step,
         pos_grid=(config.grid, config.grid),
     )
 
@@ -504,12 +507,6 @@ def finetune(
     config, recipe = resolve_run(recipe, replace(loaded_config, image_size=recipe.train_resolution))
     grids = f"{loaded_config.grid}x{loaded_config.grid}->{config.grid}x{config.grid}"
     return _run_training(
-        recipe,
-        manifest,
-        config,
-        params,
-        out_dir,
-        extra_header={"pos_grid": grids},
-        val_manifest=val_manifest,
-        eval_every=eval_every,
+        recipe, manifest, config, params, out_dir, extra_header={"pos_grid": grids},
+        val_manifest=val_manifest, eval_every=eval_every,
     )

@@ -315,6 +315,71 @@ def test_abort_on_nonfinite_loss(tmp_path, synth_root, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# -- the step -----------------------------------------------------------------
+
+
+def _step_inputs(seed=0):
+    """A drop-path toy config, its params and LAMB state after one step, and
+    a fresh batch."""
+    config = replace(toy_model(), drop_path_rate=0.1)
+    params = mdl.init(config, Rng(seed))
+    state = opt.init_lamb_state(params)
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+    targets = trn.one_hot(np.array([0, 1, 1, 0]), 2)
+    trn.train_step(config, toy_recipe(), params, state, images, targets, 1e-3, Rng(1))
+    return config, params, state, images, targets
+
+
+def _step_bytes(params, state):
+    return (
+        {k: p.data.tobytes() for k, p in params.items()},
+        {k: m.tobytes() for k, m in state.m.items()},
+        {k: v.tobytes() for k, v in state.v.items()},
+        state.step,
+    )
+
+
+def test_train_step_refuses_a_non_finite_loss_naming_the_step(monkeypatch):
+    config, params, state, images, targets = _step_inputs()
+    before = _step_bytes(params, state)
+    monkeypatch.setattr(trn, "_loss_fn", lambda *args: Tensor(np.array(np.nan, np.float32)))
+    with pytest.raises(ContractError, match=r"non-finite loss at step 1\b"):
+        trn.train_step(config, toy_recipe(), params, state, images, targets, 1e-3, Rng(2))
+    assert _step_bytes(params, state) == before
+
+
+def test_train_step_leaves_a_param_the_forward_never_reads_to_lamb_refusal():
+    config, params, _, images, targets = _step_inputs()
+    params["unread.weight"] = Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+    state = opt.init_lamb_state(params)
+    before = _step_bytes(params, state)
+    with pytest.raises(ContractError, match="missing gradient for 'unread.weight'"):
+        trn.train_step(config, toy_recipe(), params, state, images, targets, 1e-3, Rng(2))
+    assert _step_bytes(params, state) == before
+    assert all(p.grad is None for p in params.values())
+
+
+def test_cosine_lr_is_called_once_per_step_before_its_forward(tmp_path, synth_root, monkeypatch):
+    # profilers delimit steps by this call, so it opens each step, once
+    events, real_cosine_lr, real_forward = [], opt.cosine_lr, mdl.forward
+
+    def cosine_lr(schedule, step):
+        events.append(("lr", step))
+        return real_cosine_lr(schedule, step)
+
+    def forward(config, params, images, mode="eval", rng=None):
+        if mode == "train":
+            events.append(("forward", None))
+        return real_forward(config, params, images, mode=mode, rng=rng)
+
+    monkeypatch.setattr(opt, "cosine_lr", cosine_lr)
+    monkeypatch.setattr(mdl, "forward", forward)
+    result = trn.train(toy_recipe(epochs=2), synth_root, toy_model(), tmp_path / "clock")
+    assert result.steps == 10
+    assert events == [e for n in range(result.steps) for e in (("lr", n), ("forward", None))]
+
+
 # -- the loader process -------------------------------------------------------
 
 
@@ -975,6 +1040,28 @@ def test_a_negative_eval_every_is_refused_before_the_loader_starts(tmp_path, syn
             trn.finetune(pre, recipe, synth_root, tmp_path / "run", eval_every=-3)
     assert not (tmp_path / "run").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_the_last_row_carries_the_final_models_train_acc(tmp_path, synth_root):
+    recipe = toy_recipe(epochs=3)
+    result = trn.train(recipe, synth_root, toy_model(), tmp_path / "run", eval_every=2)
+    rows = [r.split(",") for r in step_rows(result.metrics_path)]
+    assert [r[0] for r in rows if r[4] != ""] == ["1", "2"]
+    config, params, _, _ = trn.load_model(result.checkpoint_path)
+    final = trn.evaluate(config, params, synth_root, recipe.test_crop_ratio)
+    assert rows[-1][4] == repr(final) and result.final_train_acc == final
+
+
+@pytest.mark.parametrize("case", ["too-small-for-a-batch", "lr-below-min-lr"])
+def test_a_refused_run_leaves_nothing_behind(tmp_path, synth_root, monkeypatch, case):
+    recipe = toy_recipe(batch_size=64) if case == "too-small-for-a-batch" else toy_recipe(lr=5e-7)
+    side_effects = []
+    monkeypatch.setattr(trn, "_keep_freed_memory", lambda: side_effects.append("allocator"))
+    monkeypatch.setattr(trn, "_batch_loader", lambda *args: side_effects.append("loader"))
+    with pytest.raises(ParameterError):
+        trn.train(recipe, synth_root, toy_model(), tmp_path / "run")
+    assert side_effects == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_too_small_dataset_for_sampler(tmp_path):
