@@ -1,10 +1,10 @@
 """Image-space and label-space augmentation, plus eval preprocessing.
 
 The train-time pipeline is: one of {grayscale, solarize, blur} chosen
-uniformly, then color jitter, then a horizontal flip; cropping is either
-random-resized-crop or the simpler fixed-scale crop with reflect
-padding. Label-space mixing (mixup/cutmix) operates on prepared float
-batches.
+uniformly, then color jitter; cropping is either random-resized-crop or
+the simpler fixed-scale crop with reflect padding. The horizontal flip
+is drawn by `training.augment_train_sample_traced`, after either path.
+Label-space mixing (mixup/cutmix) operates on prepared float batches.
 
 Everything is a pure function of (input, Rng state): byte-identical
 results for a given seed, numpy and scipy build. All float intermediates
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,9 +69,12 @@ class AugmentPolicy:
     mixup_alpha: float = 0.8  # <= 0 disables
     cutmix_alpha: float = 1.0  # <= 0 disables
     train_resolution: int = 224
-    # 3-Augment's fixed solarize threshold and blur sigma range
+    # 3-Augment's fixed solarize threshold and blur sigma range; RRC's area
+    # and aspect-ratio ranges
     solarize_threshold: ClassVar[int] = 128
     blur_sigma_range: ClassVar[tuple] = (0.1, 2.0)
+    rrc_scale: ClassVar[tuple] = (0.08, 1.0)
+    rrc_ratio: ClassVar[tuple] = (3.0 / 4.0, 4.0 / 3.0)
 
     def __post_init__(self):
         if self.crop_mode not in ("rrc", "src"):
@@ -236,21 +239,18 @@ def _convolve(kernel: np.ndarray, windows: list, acc: np.ndarray, tmp: np.ndarra
         acc += tmp
 
 
-def color_jitter(
-    img: ImageU8, strength: float, rng: Rng, factors: Optional[tuple] = None
-) -> ImageU8:
+def color_jitter(img: ImageU8, strength: float, rng: Rng) -> ImageU8:
     """Brightness, contrast, saturation scaling, each by an independent
-    factor from U[1-strength, 1+strength], applied in that fixed order.
+    factor from U[1-strength, 1+strength], drawn from `rng` and applied in
+    that fixed order.
 
-    `factors` overrides the draws (tests pin them); rounding to bytes
-    happens once at the end, each stage is clamped in float.
+    Rounding to bytes happens once at the end, each stage is clamped in
+    float.
     """
     if not 0.0 <= strength < 1.0:
         raise ParameterError(f"jitter strength must lie in [0, 1), got {strength}")
-    if factors is None:
-        lo, hi = 1.0 - strength, 1.0 + strength
-        factors = (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
-    f_bright, f_contrast, f_sat = factors
+    lo, hi = 1.0 - strength, 1.0 + strength
+    f_bright, f_contrast, f_sat = (rng.uniform(lo, hi) for _ in range(3))
 
     # x = clip(pixels * f_bright); m = mean(x @ _LUMA)
     # x = clip(m + f_contrast * (x - m)); l = x @ _LUMA
@@ -294,12 +294,12 @@ def _lookup(table: np.ndarray, pixels: np.ndarray, scratch: np.ndarray) -> np.nd
 
 
 def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
-    """3-Augment: one of grayscale, solarize and blur, then color jitter and
-    the horizontal flip. Returns the image and the branch that fired (0 gray,
-    1 solarize, 2 blur).
+    """3-Augment: one of grayscale, solarize and blur, then color jitter.
+    Returns the image and the branch that fired (0 gray, 1 solarize, 2 blur).
+    The flip that follows is drawn by `training.augment_train_sample_traced`.
 
     Draw order is part of the contract: branch u; blur sigma (blur branch
-    only); three jitter factors; flip u.
+    only); three jitter factors.
     """
     u = rng.uniform()
     branch = min(int(u * 3.0), 2)
@@ -310,21 +310,15 @@ def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
     else:
         sigma = rng.uniform(*policy.blur_sigma_range)
         out = gaussian_blur(img, sigma)
-    out = color_jitter(out, policy.color_jitter_strength, rng)
-    if rng.uniform() < policy.hflip_prob:
-        out = hflip(out)
-    return out, branch
+    return color_jitter(out, policy.color_jitter_strength, rng), branch
 
 
-def random_resized_crop(
-    img: ImageU8,
-    out: int,
-    rng: Rng,
-    scale_range: tuple = (0.08, 1.0),
-    ratio_range: tuple = (3.0 / 4.0, 4.0 / 3.0),
-) -> ImageU8:
+def random_resized_crop(img: ImageU8, out: int, rng: Rng) -> ImageU8:
+    """A crop of area drawn from `AugmentPolicy.rrc_scale` and log-aspect
+    from `rrc_ratio`, resized to out x out; ten tries, then a centered crop."""
     if out < 1:
         raise ParameterError("crop size must be at least 1")
+    scale_range, ratio_range = AugmentPolicy.rrc_scale, AugmentPolicy.rrc_ratio
     h, w = img.height, img.width
     area = float(h * w)
     for _ in range(10):
@@ -396,15 +390,13 @@ def mixup(
     targets_b: np.ndarray,
     alpha: float,
     rng: Rng,
-    lam: Optional[float] = None,
 ):
-    """Convex blend of two batches; lam ~ Beta(alpha, alpha) unless pinned."""
+    """Convex blend of two batches; lam ~ Beta(alpha, alpha) from `rng`."""
     if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
         raise DimensionError("mixup: batch/target shapes must match pairwise")
-    if lam is None:
-        if alpha <= 0:
-            raise ParameterError("mixup alpha must be positive when enabled")
-        lam = rng.beta(alpha, alpha)
+    if alpha <= 0:
+        raise ParameterError("mixup alpha must be positive when enabled")
+    lam = rng.beta(alpha, alpha)
     # lam * a + (1 - lam) * b with that expression's dtypes; the partner's
     # product is made one sample at a time, in a reused one-sample buffer
     images = np.multiply(lam, batch_a)
@@ -423,40 +415,30 @@ def cutmix(
     targets_b: np.ndarray,
     alpha: float,
     rng: Rng,
-    lam: Optional[float] = None,
-    box: Optional[tuple] = None,
 ):
     """Paste a rectangle of b into a; targets mix by the exact pasted area.
 
-    The rectangle has side ratio sqrt(1-lam) and a uniform center, clipped
-    to bounds; `box` = (x0, y0, x1, y1) pins it directly for tests. Batches
-    are (B, C, R, R) with square resolution.
+    lam ~ Beta(alpha, alpha), then the center x and y, are drawn from `rng`.
+    The rectangle has side ratio sqrt(1-lam) and that center, clipped to
+    bounds. Batches are (B, C, R, R) with square resolution.
     """
     if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
         raise DimensionError("cutmix: batch/target shapes must match pairwise")
     if batch_a.ndim != 4 or batch_a.shape[2] != batch_a.shape[3]:
         raise DimensionError(f"cutmix: batches must be (B, C, R, R), got {batch_a.shape}")
+    if alpha <= 0:
+        raise ParameterError("cutmix alpha must be positive when enabled")
     res = batch_a.shape[2]
-    if box is None:
-        if lam is None:
-            if alpha <= 0:
-                raise ParameterError("cutmix alpha must be positive when enabled")
-            lam = rng.beta(alpha, alpha)
-        side = math.sqrt(max(0.0, 1.0 - lam))
-        bw = int(math.floor(res * side + 0.5))
-        bh = bw
-        cx = rng.randint(res)
-        cy = rng.randint(res)
-        x_raw = cx - bw // 2
-        y_raw = cy - bh // 2
-        x0, x1 = max(0, x_raw), min(res, x_raw + bw)
-        y0, y1 = max(0, y_raw), min(res, y_raw + bh)
-    else:
-        x0, y0, x1, y1 = box
-    area = max(0, x1 - x0) * max(0, y1 - y0)
+    lam = rng.beta(alpha, alpha)
+    side = math.sqrt(max(0.0, 1.0 - lam))
+    bw = int(math.floor(res * side + 0.5))
+    x_raw = rng.randint(res) - bw // 2
+    y_raw = rng.randint(res) - bw // 2
+    x0, x1 = max(0, x_raw), min(res, x_raw + bw)
+    y0, y1 = max(0, y_raw), min(res, y_raw + bw)
+    area = (x1 - x0) * (y1 - y0)  # both extents are >= 0: each center lies in [0, res)
     images = batch_a.copy()
-    if area > 0:
-        images[:, :, y0:y1, x0:x1] = batch_b[:, :, y0:y1, x0:x1]
+    images[:, :, y0:y1, x0:x1] = batch_b[:, :, y0:y1, x0:x1]
     lam_adj = 1.0 - area / float(res * res)
     targets = lam_adj * targets_a + (1.0 - lam_adj) * targets_b
     return images, targets

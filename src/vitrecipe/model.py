@@ -209,9 +209,10 @@ def forward(
     """images: (B, 3, R, R) standardized floats -> logits (B, num_classes).
 
     Train mode drops each residual branch per sample with probability
-    drop_path_rate and rescales survivors by 1/(1-rate); the branch masks
-    are drawn from `rng` in block order (attention branch, then MLP
-    branch). Eval mode is deterministic and consumes no randomness.
+    drop_path_rate and rescales survivors by 1/(1-rate). One
+    `rng.uniform_array` call draws every mask before the blocks run, laid
+    out (block, branch, sample) with attention before MLP: the values of one
+    draw per branch in that order. Eval mode and rate 0 draw nothing.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"mode must be train or eval, got {mode!r}")
@@ -224,16 +225,11 @@ def forward(
     g, p = config.grid, config.patch_size
     n = g * g
     rate = config.drop_path_rate
-    use_drop = mode == "train" and rate > 0.0
-    if use_drop and rng is None:
-        raise ParameterError("forward: train mode with drop_path_rate > 0 needs an rng")
-    keep_scale = 1.0 / (1.0 - rate) if use_drop else 1.0
-
-    def maybe_drop(branch: Tensor) -> Tensor:
-        if not use_drop:
-            return branch
-        keep = (rng.uniform_array(b) >= rate).astype(np.float64)
-        return nm.drop_path_scale(branch, keep, keep_scale)
+    keep = None
+    if mode == "train" and rate > 0.0:
+        if rng is None:
+            raise ParameterError("forward: train mode with drop_path_rate > 0 needs an rng")
+        keep = (rng.uniform_array(config.depth * 2 * b) >= rate).reshape(config.depth, 2, b)
 
     # patchify: (B,3,R,R) -> (B, N, p*p*3), pixels of each patch row-major
     x = nm.reshape(images, (b, 3, g, p, g, p))
@@ -250,11 +246,15 @@ def forward(
         y = nm.layernorm(x, params[pre + "norm1.weight"], params[pre + "norm1.bias"])
         y = _attention(y, params, pre, config.num_heads)
         y = nm.mul(y, params[pre + "ls1"])
-        x = nm.add(x, maybe_drop(y))
+        if keep is not None:
+            y = nm.drop_path_scale(y, keep[i, 0], 1.0 / (1.0 - rate))
+        x = nm.add(x, y)
         y = nm.layernorm(x, params[pre + "norm2.weight"], params[pre + "norm2.bias"])
         y = _mlp(y, params, pre)
         y = nm.mul(y, params[pre + "ls2"])
-        x = nm.add(x, maybe_drop(y))
+        if keep is not None:
+            y = nm.drop_path_scale(y, keep[i, 1], 1.0 / (1.0 - rate))
+        x = nm.add(x, y)
 
     x = nm.layernorm(x, params["norm.weight"], params["norm.bias"])
     cls_out = nm.reshape(nm.narrow(x, 1, 0, 1), (b, config.embed_dim))

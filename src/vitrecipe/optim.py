@@ -74,11 +74,12 @@ def global_grad_norm(grads: GradDict) -> float:
 
 def grad_clip_global_norm(grads: GradDict, max_norm: float) -> GradDict:
     """Scale all gradients by max_norm/norm when the global L2 norm
-    exceeds max_norm; otherwise hand back the input unchanged."""
+    exceeds max_norm; otherwise, a NaN norm included, hand back the input
+    unchanged, so a non-finite gradient stays on its own tensor."""
     if max_norm <= 0:
         raise ParameterError(f"max_norm must be positive, got {max_norm}")
     norm = global_grad_norm(grads)
-    if norm <= max_norm:
+    if not norm > max_norm:
         return grads
     factor = max_norm / norm
     return {name: g * factor for name, g in grads.items()}
@@ -133,7 +134,7 @@ def lamb_step(
             raise ContractError(f"lamb_step: missing gradient for '{name}'")
         if not np.all(np.isfinite(grads[name])):
             raise ContractError(
-                f"lamb_step: non-finite gradient for '{name}' at step {state.step + 1}"
+                f"lamb_step: non-finite gradient for '{name}' at step {state.step}"
             )
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step

@@ -86,15 +86,15 @@ def augment_train_sample_traced(
     img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
 ) -> Tuple[aug.ImageU8, Optional[int]]:
     """Geometric crop to the train resolution (RRC or SRC by the policy), then
-    the photometric stack (which also owns the horizontal flip); also the
-    3-Augment branch that fired, None with 3-Augment off."""
+    3-Augment when on, then the horizontal flip, which is drawn here alone;
+    also the 3-Augment branch that fired, None with 3-Augment off."""
     crop = aug.random_resized_crop if policy.crop_mode == "rrc" else aug.simple_random_crop
-    out = crop(img, policy.train_resolution, rng)
+    out, branch = crop(img, policy.train_resolution, rng), None
     if use_three_augment:
-        return aug.three_augment_traced(out, policy, rng)
+        out, branch = aug.three_augment_traced(out, policy, rng)
     if rng.uniform() < policy.hflip_prob:
         out = aug.hflip(out)
-    return out, None
+    return out, branch
 
 
 def augment_train_sample(

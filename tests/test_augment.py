@@ -41,6 +41,34 @@ def round_half_up(x):
     return np.clip(np.floor(np.asarray(x, dtype=np.float64) + 0.5), 0, 255).astype(np.uint8)
 
 
+class ScriptedRng:
+    """Stands in for `Rng`: `uniform`, `beta` and `randint` return the queued
+    values in order, and each value must lie in the range its draw asked
+    for, so a test pins only a draw the recipe itself could make."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def _take(self, lo, hi, draw):
+        assert self.values, f"unscripted {draw} draw"
+        value = self.values.pop(0)
+        assert lo <= value <= hi, f"{draw} value {value} outside [{lo}, {hi}]"
+        return value
+
+    def uniform(self, lo=0.0, hi=1.0):
+        return self._take(lo, hi, "uniform")
+
+    def beta(self, a, b):
+        return self._take(0.0, 1.0, "beta")
+
+    def randint(self, n):
+        return self._take(0, n - 1, "randint")
+
+
+# a jitter strength just under 1: its factors span [5e-7, 1.9999995]
+WIDE = 0.9999995
+
+
 # -- grayscale ---------------------------------------------------------------
 
 
@@ -134,8 +162,9 @@ def test_jitter_zero_strength_is_identity():
 
 
 def test_jitter_pure_brightness():
-    out = aug.color_jitter(solid(100, 100, 100), 0.0, Rng(0), factors=(2.0, 1.0, 1.0))
-    assert np.all(out.pixels == 200)
+    rng = ScriptedRng(1.5, 1.0, 1.0)
+    out = aug.color_jitter(solid(100, 100, 100), WIDE, rng)
+    assert np.all(out.pixels == 150) and rng.values == []
 
 
 def test_jitter_contrast_matches_per_pixel_formula():
@@ -144,7 +173,7 @@ def test_jitter_contrast_matches_per_pixel_formula():
     x = img.pixels.astype(np.float64)
     mean_luma = (x @ LUMA).mean()
     expected = round_half_up(np.clip(mean_luma + f * (x - mean_luma), 0, 255))
-    out = aug.color_jitter(img, 0.0, Rng(0), factors=(1.0, f, 1.0))
+    out = aug.color_jitter(img, WIDE, ScriptedRng(1.0, f, 1.0))
     np.testing.assert_array_equal(out.pixels, expected)
 
 
@@ -154,7 +183,7 @@ def test_jitter_saturation_matches_per_pixel_formula():
     x = img.pixels.astype(np.float64)
     luma = (x @ LUMA)[:, :, None]
     expected = round_half_up(np.clip(luma + f * (x - luma), 0, 255))
-    out = aug.color_jitter(img, 0.0, Rng(0), factors=(1.0, 1.0, f))
+    out = aug.color_jitter(img, WIDE, ScriptedRng(1.0, 1.0, f))
     np.testing.assert_array_equal(out.pixels, expected)
 
 
@@ -229,19 +258,20 @@ def test_rrc_output_size_contract():
         assert out.pixels.shape == (16, 16, 3)
 
 
-def test_rrc_full_area_equals_whole_image_resize():
+def test_rrc_full_area_equals_whole_image_resize(monkeypatch):
+    monkeypatch.setattr(AugmentPolicy, "rrc_scale", (1.0, 1.0))
+    monkeypatch.setattr(AugmentPolicy, "rrc_ratio", (2.0, 2.0))
     img = random_image(10, 20, seed=13)
-    out = aug.random_resized_crop(
-        img, 12, Rng(0), scale_range=(1.0, 1.0), ratio_range=(2.0, 2.0)
-    )
+    out = aug.random_resized_crop(img, 12, Rng(0))
     np.testing.assert_array_equal(out.pixels, aug.resize_bilinear(img, 12, 12).pixels)
 
 
-def test_rrc_fallback_centers_extreme_aspect():
+def test_rrc_fallback_centers_extreme_aspect(monkeypatch):
     # 10x100 image with large forced areas: every attempt overflows the
     # short side, so the centered fallback at the ratio bound fires
+    monkeypatch.setattr(AugmentPolicy, "rrc_scale", (0.9, 1.0))
     img = random_image(10, 100, seed=14)
-    out = aug.random_resized_crop(img, 8, Rng(5), scale_range=(0.9, 1.0))
+    out = aug.random_resized_crop(img, 8, Rng(5))
     cw = int(math.floor(10 * 4 / 3 + 0.5))  # 13
     x0 = (100 - cw) // 2
     crop = ImageU8(np.ascontiguousarray(img.pixels[:, x0 : x0 + cw]))
@@ -332,11 +362,11 @@ def test_mixup_lambda_endpoints():
     b = np.random.default_rng(21).normal(size=(3, 3, 8, 8))
     ya, yb = one_hot_rows([0, 1, 2]), one_hot_rows([3, 2, 1])
 
-    img, tgt = aug.mixup(a, b, ya, yb, 0.8, Rng(0), lam=1.0)
+    img, tgt = aug.mixup(a, b, ya, yb, 0.8, ScriptedRng(1.0))
     np.testing.assert_array_equal(img, a)
     np.testing.assert_array_equal(tgt, ya)
 
-    img, tgt = aug.mixup(a, b, ya, yb, 0.8, Rng(0), lam=0.5)
+    img, tgt = aug.mixup(a, b, ya, yb, 0.8, ScriptedRng(0.5))
     np.testing.assert_allclose(img, 0.5 * a + 0.5 * b)
     assert tgt[0, 0] == 0.5 and tgt[0, 3] == 0.5
 
@@ -357,11 +387,12 @@ def test_cutmix_box_endpoints():
     b = np.ones((2, 3, 8, 8))
     ya, yb = one_hot_rows([0, 1]), one_hot_rows([2, 3])
 
-    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, Rng(0), box=(0, 0, 0, 0))
+    # lam 1 gives an empty box; lam 0 centered at (4, 4) gives (0, 0, 8, 8)
+    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, ScriptedRng(1.0, 3, 5))
     np.testing.assert_array_equal(img, a)
     np.testing.assert_array_equal(tgt, ya)
 
-    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, Rng(0), box=(0, 0, 8, 8))
+    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, ScriptedRng(0.0, 4, 4))
     np.testing.assert_array_equal(img, b)
     np.testing.assert_array_equal(tgt, yb)
 
@@ -604,7 +635,7 @@ def test_blur_pins_the_whole_image_formula(sigma, h, w):
 @pytest.mark.parametrize("h, w", PIN_SHAPES)
 def test_jitter_pins_the_whole_image_formula(factors, h, w):
     img = random_image(h, w, seed=3 * h + w)
-    out = aug.color_jitter(img, 0.0, Rng(0), factors=factors).pixels
+    out = aug.color_jitter(img, WIDE, ScriptedRng(*factors)).pixels
     np.testing.assert_array_equal(out, ref_jitter(img.pixels, factors))
 
 
@@ -622,7 +653,8 @@ def test_mixup_pins_the_whole_batch_formula(dtype, lam):
     gen = np.random.default_rng(42)
     a, b = (gen.normal(size=(5, 3, 16, 16)).astype(dtype) for _ in range(2))
     ya, yb = one_hot_rows([0, 1, 2, 3, 0]), one_hot_rows([3, 2, 1, 0, 1])
-    images, targets = aug.mixup(a, b, ya, yb, 0.8, Rng(9), lam=lam)
+    rng = Rng(9) if lam is None else ScriptedRng(lam)
+    images, targets = aug.mixup(a, b, ya, yb, 0.8, rng)
     drawn = Rng(9).beta(0.8, 0.8) if lam is None else lam
     expected = (drawn * a + (1.0 - drawn) * b).astype(dtype, copy=False)
     assert images.dtype == expected.dtype

@@ -375,6 +375,43 @@ def test_drop_path_mask_statistics():
     assert abs(drop_rate - 0.5) < 3 * sigma
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_drop_path_masks_are_one_draw_in_block_order(monkeypatch, depth):
+    # one uniform_array call per train forward, whose masks are the
+    # successive per-branch draws: block by block, attention before MLP
+    config = ViTConfig(
+        patch_size=4, embed_dim=16, depth=depth, num_heads=2, image_size=8,
+        num_classes=3, drop_path_rate=0.3,
+    )
+    params = mdl.init(config, Rng(4), dtype=np.float64)
+    x = batch(5, config=config, seed=12)
+    reference = Rng(21)
+    expected = [reference.uniform_array(5) >= 0.3 for _ in range(2 * depth)]
+    masks, draws = [], []
+    scale, draw = nm.drop_path_scale, Rng.uniform_array
+    monkeypatch.setattr(
+        mdl.nm, "drop_path_scale",
+        lambda y, keep, f: (masks.append(np.array(keep, dtype=bool)), scale(y, keep, f))[1],
+    )
+    monkeypatch.setattr(
+        Rng, "uniform_array", lambda self, n, *a: (draws.append(n), draw(self, n, *a))[1]
+    )
+    rng = Rng(21)
+    mdl.forward(config, params, x, mode="train", rng=rng)
+    assert draws == [2 * depth * 5]
+    assert rng.state == reference.state
+    assert len(masks) == len(expected)
+    for got, want in zip(masks, expected):
+        np.testing.assert_array_equal(got, want)
+
+    for mode, rate in (("eval", 0.3), ("train", 0.0)):
+        masks.clear()
+        draws.clear()
+        rng = Rng(21)
+        mdl.forward(replace(config, drop_path_rate=rate), params, x, mode=mode, rng=rng)
+        assert (masks, draws, rng.state) == ([], [], Rng(21).state)
+
+
 def test_drop_path_expectation_matches_eval():
     # averaging many train-mode passes over one sample recovers the
     # deterministic eval output (unbiasedness of the 1/(1-rate) rescale)

@@ -148,6 +148,18 @@ def test_a_refused_lamb_step_changes_nothing(bad):
             for n, p in params.items()] == before
 
 
+def test_lamb_step_names_the_step_the_metrics_row_names():
+    # state.step counts the steps taken, so the failing step is numbered
+    # state.step, as train_step's non-finite loss and metrics.csv number it
+    params = make_params({"a.weight": (2, 2)}, seed=8)
+    state = opt.init_lamb_state(params)
+    state.step = 5
+    with pytest.raises(ContractError, match=r"'a.weight' at step 5$"):
+        opt.lamb_step(params, {"a.weight": np.full((2, 2), np.nan)}, state,
+                      lr=1e-3, weight_decay=0.0)
+    assert state.step == 5
+
+
 @pytest.mark.parametrize(
     "name,shape,expect",
     [
@@ -182,6 +194,17 @@ def test_clip_rescales_only_above_threshold():
     assert untouched is grads
     with pytest.raises(ParameterError):
         opt.grad_clip_global_norm(grads, 0.0)
+
+
+def test_a_nan_gradient_is_clipped_to_no_other_tensor():
+    # a NaN norm is not above max_norm: the clip leaves every gradient as it
+    # is, and LAMB names the tensor that holds the NaN, not the first one
+    params = make_params({"a.weight": (3, 2), "b.weight": (2, 2)}, seed=9)
+    grads = {"a.weight": np.full((3, 2), 0.5), "b.weight": np.array([[0.5, np.nan], [0.5, 0.5]])}
+    clipped = opt.grad_clip_global_norm(grads, 1.0)
+    assert clipped is grads
+    with pytest.raises(ContractError, match="'b.weight'"):
+        opt.lamb_step(params, clipped, opt.init_lamb_state(params), lr=1e-2, weight_decay=0.05)
 
 
 # -- losses ---------------------------------------------------------------------------
