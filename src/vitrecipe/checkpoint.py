@@ -5,6 +5,12 @@ block (one pair per line); then one record per tensor until EOF. Each
 record is u32-LE name length, the UTF-8 name, u32-LE rank, the extents
 as u64-LE, and the values as little-endian f32. Reload is bit-exact.
 
+Both directions stream one tensor at a time: save writes each tensor's
+values from its own buffer, and load reads each into its final array, so
+neither holds a second copy of the state. Save writes a temp file next to
+the target and renames it over the target, so a failed save leaves the
+old file as it was.
+
 Optimizer moments ride along under the "opt." name prefix ("opt.m.x",
 "opt.v.x") plus a one-element "opt.step" tensor.
 """
@@ -12,13 +18,14 @@ Optimizer moments ride along under the "opt." name prefix ("opt.m.x",
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .numerics import Tensor
 from .optim import LambState
 
@@ -28,63 +35,89 @@ OPT_PREFIX = "opt."
 
 
 def save_checkpoint(path, config: Dict[str, object], arrays: Dict[str, np.ndarray]) -> None:
-    block = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")
-    chunks = [_MAGIC, struct.pack("<I", len(block)), block]
-    for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
-        chunks.append(data.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write `config` and `arrays` to `path` as a VITCKPT1 file, atomically.
+
+    A config pair whose key holds "=" or whose `key=value` is not exactly
+    one line would load back as other pairs: it raises `ParameterError`
+    before any file is opened. Each tensor is written as f32, converted
+    first when it is not little-endian f32 already."""
+    lines = [f"{k}={v}" for k, v in config.items()]
+    for key, line in zip(config, lines):
+        if "=" in str(key) or line.splitlines() != [line]:
+            raise ParameterError(f"checkpoint config pair {line!r} would not load back as itself")
+    block = "".join(line + "\n" for line in lines).encode("utf-8")
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as f:
+            f.write(_MAGIC + struct.pack("<I", len(block)) + block)
+            for name, arr in arrays.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack(f"<I{len(encoded)}sI", len(encoded), encoded, data.ndim))
+                f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+                f.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_MAGIC) + 4 or raw[: len(_MAGIC)] != _MAGIC:
-        raise FormatError(f"{path}: not a VITCKPT1 checkpoint")
-    pos = len(_MAGIC)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(_MAGIC) + 4)
+        if len(head) < len(_MAGIC) + 4 or head[: len(_MAGIC)] != _MAGIC:
+            raise FormatError(f"{path}: not a VITCKPT1 checkpoint")
+        pos = len(head)
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"{path}: truncated while reading {what}")
-        piece = raw[pos : pos + n]
-        pos += n
-        return piece
+        def check(n: int, what: str) -> None:
+            nonlocal pos
+            if pos + n > size:
+                raise FormatError(f"{path}: truncated while reading {what}")
+            pos += n
 
-    def text(n: int, what: str) -> str:
-        try:
-            return take(n, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {what} is not valid UTF-8") from exc
+        def take(n: int, what: str) -> bytes:
+            check(n, what)
+            piece = f.read(n)
+            if len(piece) < n:
+                raise FormatError(f"{path}: truncated while reading {what}")
+            return piece
 
-    (block_len,) = struct.unpack("<I", take(4, "config length"))
-    config: Dict[str, str] = {}
-    for line in text(block_len, "config block").splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed config line {line!r}")
-        key, value = line.split("=", 1)
-        config[key] = value
+        def text(n: int, what: str) -> str:
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: {what} is not valid UTF-8") from exc
 
-    arrays: Dict[str, np.ndarray] = {}
-    while pos < len(raw):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = text(name_len, "tensor name")
-        if name in arrays:
-            raise FormatError(f"{path}: tensor {name!r} appears twice")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
-        # Python ints: u64 extents can overflow int64 alone or in a product
-        data = np.frombuffer(take(4 * math.prod(shape), f"values of {name}"), dtype="<f4")
-        try:
-            arrays[name] = data.reshape(shape).copy()
-        except ValueError as exc:  # no values, but an extent numpy cannot hold
-            raise FormatError(f"{path}: extents {shape} of {name} are too large") from exc
+        (block_len,) = struct.unpack("<I", head[len(_MAGIC) :])
+        config: Dict[str, str] = {}
+        for line in text(block_len, "config block").splitlines():
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"{path}: malformed config line {line!r}")
+            key, value = line.split("=", 1)
+            config[key] = value
+
+        arrays: Dict[str, np.ndarray] = {}
+        while pos < size:
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            name = text(name_len, "tensor name")
+            if name in arrays:
+                raise FormatError(f"{path}: tensor {name!r} appears twice")
+            (rank,) = struct.unpack("<I", take(4, "rank"))
+            shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
+            # Python ints: u64 extents can overflow int64 alone or in a product
+            what = f"values of {name}"
+            check(4 * math.prod(shape), what)
+            try:
+                data = np.empty(shape, dtype="<f4")
+            except ValueError as exc:  # no values, but an extent numpy cannot hold
+                raise FormatError(f"{path}: extents {shape} of {name} are too large") from exc
+            if f.readinto(data) < data.nbytes:
+                raise FormatError(f"{path}: truncated while reading {what}")
+            arrays[name] = data
     return config, arrays
 
 

@@ -22,6 +22,9 @@ _MIX2 = 0x94D049BB133111EB
 # 2^-53: top 53 bits of a u64 become a uniform double in [0, 1)
 _U53 = 1.0 / (1 << 53)
 
+# Box-Muller pairs per block of a truncated-normal draw: 128 KiB of uniforms
+_PAIRS_PER_BLOCK = 8192
+
 
 def mix64(x: int) -> int:
     """splitmix64 output function: one full avalanche of a 64-bit value."""
@@ -60,12 +63,17 @@ class Rng:
         return z
 
     def u64_array(self, n: int) -> np.ndarray:
-        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        shifted = np.empty_like(z)
         with np.errstate(over="ignore"):
-            z = np.uint64(self.state) + steps * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self.state)
+            for shift, mult in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(z, np.uint64(shift), out=shifted)
+                z ^= shifted
+                z *= np.uint64(mult)
+            np.right_shift(z, np.uint64(31), out=shifted)
+            z ^= shifted
         self.state = (self.state + n * _GOLDEN) & _MASK
         return z
 
@@ -73,9 +81,17 @@ class Rng:
         u = (self.next_u64() >> 11) * _U53
         return lo + (hi - lo) * u
 
+    def _unit_array(self, n: int) -> np.ndarray:
+        """`uniform_array(n)` on [0, 1), bit for bit, in place: the top 53
+        bits fit int64, whose conversion to f64 is exact and faster."""
+        z = self.u64_array(n)
+        z >>= np.uint64(11)
+        u = z.view(np.int64).astype(np.float64)
+        u *= _U53
+        return u
+
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _U53
-        return lo + (hi - lo) * u
+        return lo + (hi - lo) * self._unit_array(n)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is ~n/2^64, irrelevant here."""
@@ -91,18 +107,31 @@ class Rng:
 
     def truncated_normal_array(self, n: int, std: float) -> np.ndarray:
         """Normal(0, std) by Box-Muller on uniform pairs, with draws outside
-        2 sigma rejected and redrawn."""
+        2 sigma rejected and redrawn. Each rejection round draws one pair per
+        value still missing, in blocks of `_PAIRS_PER_BLOCK` pairs so the
+        temporaries stay small; the stream is counter-based, so the values
+        are those of one draw per round."""
         out = np.empty(n, dtype=np.float64)
         filled = 0
         while filled < n:
-            u = self.uniform_array(2 * (n - filled))
-            u1 = np.maximum(u[0::2], _U53)
-            u2 = u[1::2]
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            z = z[np.abs(z) <= 2.0]
-            out[filled : filled + len(z)] = z
-            filled += len(z)
+            pairs = n - filled
+            for start in range(0, pairs, _PAIRS_PER_BLOCK):
+                z = self._box_muller(min(_PAIRS_PER_BLOCK, pairs - start))
+                z = z[np.abs(z) <= 2.0]
+                out[filled : filled + len(z)] = z
+                filled += len(z)
         return out * std
+
+    def _box_muller(self, pairs: int) -> np.ndarray:
+        u = self._unit_array(2 * pairs)
+        radius = np.maximum(u[0::2], _U53)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u[1::2] * (2.0 * np.pi)
+        np.cos(angle, out=angle)
+        radius *= angle
+        return radius
 
     def beta(self, a: float, b: float) -> float:
         """Beta(a, b) by inverse CDF; consumes exactly one state."""

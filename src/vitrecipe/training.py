@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing as mp
 import platform
 import signal
@@ -276,11 +277,14 @@ def evaluate(
     model and one batch, whatever the manifest's length. The forward runs
     on an untracked view of `params` (same arrays, no `requires_grad`), so
     no op records a tape node and each intermediate is freed once the next
-    op has read it. The logits are the tracked forward's, bit for bit."""
+    op has read it. The logits are the tracked forward's, bit for bit.
+    Like `train`, it keeps freed memory in the process (`_keep_freed_memory`),
+    so each batch reuses the last one's pages instead of faulting in new ones."""
     _check_eval_manifest(config, manifest)
     n = len(manifest)
     if batch_size < 1:
         raise ParameterError(f"evaluate: batch_size must be at least 1, got {batch_size}")
+    _keep_freed_memory()
     view = {name: Tensor(p.data) for name, p in params.items()}
     correct = 0
     for start in range(0, n, batch_size):
@@ -301,11 +305,13 @@ def evaluate(
 _MALLOPT_PARAMS, _KEEP_FREED_BYTES = (-1, -3), 1 << 30
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
-    """Keep the memory each backward frees in this process for the next
-    forward; at glibc's defaults it goes back to the OS and is faulted in
-    again. Only this process's allocator changes (a forked loader inherits
-    it, a spawned one does not). Elsewhere than glibc this does nothing."""
+    """Keep the memory each backward or batch frees in this process for the
+    next forward; at glibc's defaults it goes back to the OS and is faulted
+    in again. Only this process's allocator changes (a forked loader inherits
+    it, a spawned one does not), once per process. Elsewhere than glibc this
+    does nothing."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vitrecipe import rng as rng_module
 from vitrecipe.errors import ParameterError
 from vitrecipe.rng import Rng, derive_seed, mix64
 
@@ -68,9 +69,10 @@ def test_truncated_normal_bound_and_scale():
     assert abs(xs.std() / std - math.sqrt(0.7737)) < 0.02
 
 
-def _box_muller_truncated_reference(rng, n, std):
+def _box_muller_truncated_reference(rng, n, std, rounds=None):
     """The truncated normal as a separate Box-Muller `normal_array` and a
-    2-sigma rejection loop; `model.init` keeps these bytes."""
+    2-sigma rejection loop, one draw per round; `model.init` keeps these
+    bytes. Each round's pair count is appended to `rounds`."""
 
     def normal_array(m):
         u = rng.uniform_array(2 * m)
@@ -81,6 +83,8 @@ def _box_muller_truncated_reference(rng, n, std):
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:
+        if rounds is not None:
+            rounds.append(n - filled)
         z = normal_array(n - filled)
         z = z[np.abs(z) <= 2.0]
         out[filled : filled + len(z)] = z
@@ -88,14 +92,26 @@ def _box_muller_truncated_reference(rng, n, std):
     return out * std
 
 
+BLOCK = rng_module._PAIRS_PER_BLOCK
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 5])
-@pytest.mark.parametrize("n", [1, 7, 110_592])
+@pytest.mark.parametrize(
+    "n", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 110_592, 147_456, 589_824]
+)
 def test_truncated_normal_keeps_box_muller_bytes(seed, n):
     a, b = Rng(seed), Rng(seed)
     got = a.truncated_normal_array(n, 0.02)
     want = _box_muller_truncated_reference(b, n, 0.02)
     assert got.tobytes() == want.tobytes()
     assert a.state == b.state
+
+
+def test_the_largest_pinned_size_redraws_over_several_blocks():
+    # so the pin above covers a rejection round that is itself split into blocks
+    rounds = []
+    _box_muller_truncated_reference(Rng(0), 589_824, 0.02, rounds)
+    assert len(rounds) > 2 and rounds[1] > 2 * BLOCK, rounds
 
 
 def test_shuffle_is_a_seeded_permutation():

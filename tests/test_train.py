@@ -133,6 +133,103 @@ def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+def _joined_checkpoint_bytes(config, arrays):
+    """The VITCKPT1 bytes as the join-based writer made them: every tensor
+    copied with `tobytes`, then the whole file joined in memory."""
+    block = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")
+    chunks = [b"VITCKPT1", struct.pack("<I", len(block)), block]
+    for name, arr in arrays.items():
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<I", data.ndim))
+        chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
+        chunks.append(data.tobytes())
+    return b"".join(chunks)
+
+
+EDGE_TENSORS = {
+    "f32": np.arange(12, dtype=np.float32).reshape(3, 4) / 7,
+    "f64": np.linspace(-1.0, 1.0, 10, dtype=np.float64) / 3,
+    "big-endian-f4": (np.arange(6, dtype=np.float32) - 2.5).astype(">f4").reshape(2, 3),
+    "0-d": np.float32(-7.25).reshape(()),
+    "empty-0x4": np.zeros((0, 4), dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("which", [*EDGE_TENSORS, "all"])
+def test_checkpoint_bytes_equal_the_joined_writer_and_round_trip(tmp_path, which):
+    arrays = dict(EDGE_TENSORS) if which == "all" else {which: EDGE_TENSORS[which]}
+    config = {"model.depth": 2, "note": "ünïcode"}
+    path = tmp_path / "edge.ckpt"
+    ckpt.save_checkpoint(path, config, arrays)
+    assert path.read_bytes() == _joined_checkpoint_bytes(config, arrays)
+    block, back = ckpt.load_checkpoint(path)
+    assert block == {k: str(v) for k, v in config.items()}
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        # the format has always stored a 0-d tensor as one value of rank 1
+        assert back[name].shape == (arr.shape or (1,))
+        assert back[name].dtype == np.dtype("<f4")
+        np.testing.assert_array_equal(back[name], arr.astype(np.float32).reshape(back[name].shape))
+
+
+class _FailsToConvert:
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("disk gone")
+
+
+def test_a_failed_save_leaves_the_old_checkpoint_and_no_temp_file(tmp_path):
+    path = tmp_path / "run.ckpt"
+    ckpt.save_checkpoint(path, {"k": 1}, {"w": np.ones(4, dtype=np.float32)})
+    old = path.read_bytes()
+    # the first tensor is written before the second one's write raises
+    arrays = {"w": np.zeros(4096, dtype=np.float32), "x": _FailsToConvert()}
+    with pytest.raises(RuntimeError, match="disk gone"):
+        ckpt.save_checkpoint(path, {"k": 2}, arrays)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["run.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"a=b": 1}, {"note": "x\ny=2"}, {"k": "v\r"}, {"k\n": 1}, {"k": "v\u2028w"}],
+    ids=["=-in-key", "newline-in-value", "cr-in-value", "newline-in-key", "line-separator"],
+)
+def test_save_refuses_a_config_that_loads_back_wrong(tmp_path, config):
+    # a missing directory: a save that opened any file would fail otherwise
+    path = tmp_path / "missing" / "x.ckpt"
+    with pytest.raises(ParameterError, match="would not load back"):
+        ckpt.save_checkpoint(path, config, {"w": np.ones(2, dtype=np.float32)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak_above_start(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_hold_one_copy_of_the_state(tmp_path):
+    tensor_bytes = 1 << 20
+    arrays = {f"t{i}": np.full(tensor_bytes // 4, i, dtype=np.float32) for i in range(8)}
+    arrays["f64"] = np.full(tensor_bytes // 4, 0.5, dtype=np.float64)  # converted on the way
+    path = tmp_path / "big.ckpt"
+    saved, _ = _traced_peak_above_start(lambda: ckpt.save_checkpoint(path, {"k": 1}, arrays))
+    # at most the one converted tensor above the live arrays
+    assert saved <= tensor_bytes + (16 << 10), saved
+    loaded, (_, back) = _traced_peak_above_start(lambda: ckpt.load_checkpoint(path))
+    # the loaded arrays and a few KiB of headers, no second copy of the file
+    assert loaded <= sum(a.nbytes for a in back.values()) + (16 << 10), loaded
+    assert len(back) == 9
+
+
 def test_pack_unpack_training_state():
     params = {
         "w.weight": Tensor(np.ones((2, 2)), requires_grad=True),
@@ -774,13 +871,34 @@ def test_train_sets_the_allocator_only_on_glibc(tmp_path, synth_root, monkeypatc
         return real_cdll(*args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
+    # the setting is made once per process; each half starts as a new process
+    trn._keep_freed_memory.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
         other = trn.train(recipe, synth_root, toy_model(), tmp_path / "other")
     assert opened == []
+    trn._keep_freed_memory.cache_clear()
     glibc = trn.train(recipe, synth_root, toy_model(), tmp_path / "glibc")
     assert opened == ([(None,)] if platform.libc_ver()[0] == "glibc" else [])
     assert other.checkpoint_path.read_bytes() == glibc.checkpoint_path.read_bytes()
+
+
+def test_evaluate_sets_the_allocator_only_once_its_arguments_pass(tmp_path, monkeypatch):
+    config = toy_model()
+    params = mdl.init(config, Rng(3))
+    side_effects = []
+    monkeypatch.setattr(trn, "_keep_freed_memory", lambda: side_effects.append("allocator"))
+    empty = dat.DatasetManifest(root=tmp_path, entries=(), num_classes=2)
+    with pytest.raises(ContractError, match="no entries"):
+        trn.evaluate(config, params, empty)
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=2, resolution=16, seed=1), tmp_path / "ds"
+    )
+    with pytest.raises(ParameterError, match="batch_size"):
+        trn.evaluate(config, params, manifest, batch_size=0)
+    assert side_effects == []
+    trn.evaluate(config, params, manifest)
+    assert side_effects == ["allocator"]
 
 
 # -- the effective run -----------------------------------------------------------
