@@ -2,8 +2,9 @@
 
 The train-time pipeline is: one of {grayscale, solarize, blur} chosen
 uniformly, then color jitter; cropping is either random-resized-crop or
-the simpler fixed-scale crop with reflect padding. The horizontal flip
-is drawn by `training.augment_train_sample_traced`, after either path.
+the simpler fixed-scale crop with reflect padding (numpy's reflect mode,
+made once per image by `reflect_pad`, as the blur's is). The horizontal
+flip is drawn by `training.augment_train_sample_traced`, after either path.
 Label-space mixing (mixup/cutmix) operates on prepared float batches.
 
 Everything is a pure function of (input, Rng state): byte-identical
@@ -103,24 +104,9 @@ def _row_blocks(height: int, row_elements: int) -> list:
     return [slice(r0, min(height, r0 + step)) for r0 in range(0, height, step)]
 
 
-def _reflect_indices(n: int, pad: int) -> np.ndarray:
-    """Source indices for reflect padding without edge duplication.
-
-    Works for any pad size (period 2(n-1)), unlike np.pad which rejects
-    pad >= n.
-    """
-    pos = np.arange(-pad, n + pad)
-    if n == 1:
-        return np.zeros_like(pos)
-    period = 2 * (n - 1)
-    j = np.abs(pos) % period
-    return np.where(j >= n, period - j, j)
-
-
 def reflect_pad(img: ImageU8, pad: int) -> ImageU8:
-    rows = _reflect_indices(img.height, pad)
-    cols = _reflect_indices(img.width, pad)
-    return ImageU8(np.ascontiguousarray(img.pixels[rows][:, cols]))
+    """Mirror `pad` pixels about each edge, not repeating it (numpy's reflect)."""
+    return ImageU8(np.pad(img.pixels, ((pad, pad), (pad, pad), (0, 0)), mode="reflect"))
 
 
 def _taps(n_in: int, n_out: int):
@@ -201,30 +187,24 @@ def gaussian_blur(img: ImageU8, sigma: float) -> ImageU8:
     kernel /= kernel.sum()
 
     # Vertical then horizontal: each pass is acc = sum_j kernel[j] *
-    # padded[j : j + n] along its axis, with reflect padding, a block of
-    # output rows at a time; the block's vertical sums are padded
-    # horizontally in `wide`.
+    # padded[j : j + n] along its axis, a block of output rows at a time. The
+    # image is reflect-padded once, in both axes, and the vertical pass runs
+    # over the padded width: a padded column's sums are its source column's.
     h, w = img.height, img.width
     taps = len(kernel)
-    rows = img.pixels[_reflect_indices(h, radius)]
-    cols = _reflect_indices(w, radius) + radius
+    padded = reflect_pad(img, radius).pixels
     blocks = _row_blocks(h, 3 * (w + 2 * radius))
     n = blocks[0].stop
-    tall = np.empty((n + 2 * radius, w, 3))
-    wide = np.empty((n, w + 2 * radius, 3))
-    acc = np.empty((n, w, 3))
-    tmp = np.empty((n, w, 3))
+    tall = np.empty((n + 2 * radius, w + 2 * radius, 3))
+    wide, wide_tmp = np.empty((2, n, w + 2 * radius, 3))
+    acc, tmp = np.empty((2, n, w, 3))
     out = np.empty((h, w, 3), dtype=np.uint8)
     for block in blocks:
         m = block.stop - block.start
-        padded = tall[: m + 2 * radius]
-        np.copyto(padded, rows[block.start : block.stop + 2 * radius])
-        _convolve(kernel, [padded[j : j + m] for j in range(taps)], acc[:m], tmp[:m])
-        padded = wide[:m]
-        padded[:, radius : radius + w] = acc[:m]
-        padded[:, :radius] = padded[:, cols[:radius]]
-        padded[:, radius + w :] = padded[:, cols[radius + w :]]
-        _convolve(kernel, [padded[:, j : j + w] for j in range(taps)], acc[:m], tmp[:m])
+        rows = tall[: m + 2 * radius]
+        np.copyto(rows, padded[block.start : block.stop + 2 * radius])
+        _convolve(kernel, [rows[j : j + m] for j in range(taps)], wide[:m], wide_tmp[:m])
+        _convolve(kernel, [wide[:m, j : j + w] for j in range(taps)], acc[:m], tmp[:m])
         out[block] = _round_u8(acc[:m])
     return ImageU8(out)
 

@@ -69,13 +69,10 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
         head = f.read(len(_MAGIC) + 4)
         if len(head) < len(_MAGIC) + 4 or head[: len(_MAGIC)] != _MAGIC:
             raise FormatError(f"{path}: not a VITCKPT1 checkpoint")
-        pos = len(head)
 
         def check(n: int, what: str) -> None:
-            nonlocal pos
-            if pos + n > size:
+            if f.tell() + n > size:
                 raise FormatError(f"{path}: truncated while reading {what}")
-            pos += n
 
         def take(n: int, what: str) -> bytes:
             check(n, what)
@@ -101,7 +98,7 @@ def load_checkpoint(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
             config[key] = value
 
         arrays: Dict[str, np.ndarray] = {}
-        while pos < size:
+        while f.tell() < size:
             (name_len,) = struct.unpack("<I", take(4, "name length"))
             name = text(name_len, "tensor name")
             if name in arrays:

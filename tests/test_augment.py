@@ -41,6 +41,20 @@ def round_half_up(x):
     return np.clip(np.floor(np.asarray(x, dtype=np.float64) + 0.5), 0, 255).astype(np.uint8)
 
 
+def reflect_index(n, pad):
+    """Source index of each of the n + 2 * pad positions of a reflect-padded
+    axis, each folded back into [0, n) one mirror at a time: the edge is not
+    repeated, and a pad past the extent folds again."""
+    if n == 1:
+        return np.zeros(1 + 2 * pad, dtype=np.int64)
+    index = []
+    for i in range(-pad, n + pad):
+        while not 0 <= i < n:
+            i = -i if i < 0 else 2 * (n - 1) - i
+        index.append(i)
+    return np.array(index)
+
+
 class ScriptedRng:
     """Stands in for `Rng`: `uniform`, `beta` and `randint` return the queued
     values in order, and each value must lie in the range its draw asked
@@ -112,8 +126,8 @@ def brute_force_blur(img, sigma):
     k2 = np.outer(k1, k1)
 
     h, w = img.height, img.width
-    rows = aug._reflect_indices(h, radius)
-    cols = aug._reflect_indices(w, radius)
+    rows = reflect_index(h, radius)
+    cols = reflect_index(w, radius)
     padded = img.pixels.astype(np.float64)[rows][:, cols]
     out = np.zeros((h, w, 3), dtype=np.float64)
     for y in range(h):
@@ -471,10 +485,18 @@ def test_reflect_pad_agrees_with_numpy_for_small_pads():
 
 def test_reflect_pad_larger_than_image():
     img = random_image(3, 3, seed=23)
-    out = aug.reflect_pad(img, 5)  # np.pad reflect would reject this
+    out = aug.reflect_pad(img, 5)
     assert out.pixels.shape == (13, 13, 3)
     # period 2(n-1): wrap-around repeats the interior mirror pattern
     np.testing.assert_array_equal(out.pixels[0], out.pixels[4])
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 4), (2, 3), (5, 2)])
+def test_reflect_pad_folds_pads_past_the_extent(h, w):
+    img = random_image(h, w, seed=10 * h + w)
+    for pad in range(0, 14):
+        expected = img.pixels[reflect_index(h, pad)][:, reflect_index(w, pad)]
+        np.testing.assert_array_equal(aug.reflect_pad(img, pad).pixels, expected)
 
 
 def test_hflip_involution():
@@ -554,11 +576,11 @@ def ref_blur(pixels, sigma):
     kernel /= kernel.sum()
     data = pixels.astype(np.float64)
     h, w = data.shape[:2]
-    padded = data[aug._reflect_indices(h, radius)]
+    padded = data[reflect_index(h, radius)]
     acc = np.zeros_like(data)
     for j in range(2 * radius + 1):
         acc += kernel[j] * padded[j : j + h]
-    padded = acc[:, aug._reflect_indices(w, radius)]
+    padded = acc[:, reflect_index(w, radius)]
     acc = np.zeros_like(data)
     for j in range(2 * radius + 1):
         acc += kernel[j] * padded[:, j : j + w]
@@ -576,9 +598,11 @@ def ref_jitter(pixels, factors):
     return round_half_up(x)
 
 
-# (h, w) sources: square at the in1k shapes, tall, wide, one pixel; each
-# spans one or several row blocks, with a short last block
-PIN_SHAPES = [(224, 224), (256, 256), (300, 20), (10, 2000), (1, 1), (37, 91)]
+# (h, w) sources: square at the in1k shapes, tall, wide, one pixel, and
+# smaller than the blur's radius of up to 6, so its padding folds more than
+# once in both axes; each spans one or several row blocks, with a short last
+# block
+PIN_SHAPES = [(224, 224), (256, 256), (300, 20), (10, 2000), (1, 1), (37, 91), (3, 5), (2, 7)]
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,11 @@ import platform
 import re
 import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +651,51 @@ def test_spawned_loader_gives_the_same_checkpoint(tmp_path, synth_root, monkeypa
     monkeypatch.setattr(trn, "mp", spawn)
     spawned = trn.train(recipe, synth_root, toy_model(), tmp_path / "spawned")
     assert spawned.checkpoint_path.read_bytes() == default.checkpoint_path.read_bytes()
+
+
+# A short train of a depth-2 toy at drop path 0.1 in a fresh process, so that
+# the environment it is given holds as numpy loads. It prints how many
+# threads the process had once numpy had loaded, OpenBLAS's pool included.
+_TRAIN_IN_CHILD = """
+import os, sys
+from dataclasses import replace
+from vitrecipe import config as cfg, data as dat, model as mdl, training as trn
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+recipe = replace(
+    cfg.preset("in1k"), batch_size=16, epochs=2, warmup_epochs=1, train_resolution=32,
+    eval_resolution=32, seed=7, drop_path=0.1, layerscale_init=1.0,
+)
+model = mdl.ViTConfig(
+    patch_size=4, embed_dim=64, depth=2, num_heads=4, image_size=32, num_classes=4
+)
+trn.train(recipe, dat.load_manifest(sys.argv[1]), model, sys.argv[2])
+print(tasks)
+"""
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_checkpoint_does_not_depend_on_the_number_of_cpus(tmp_path):
+    # OpenBLAS's default thread count is the number of CPUs; its threaded
+    # weight gradients differ from its one-thread ones in the last bits
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=4, per_class=8, resolution=32, seed=11), tmp_path / "ds"
+    )
+    src = str(Path(trn.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    checkpoints, tasks = [], []
+    for name, env in [("one", dict(base, **dict.fromkeys(_BLAS_THREADS, "1"))), ("default", base)]:
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-c", _TRAIN_IN_CHILD, str(manifest.root / "manifest.tsv"), str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        tasks.append(int(result.stdout.split()[-1]))
+        checkpoints.append((out / "checkpoint.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+    assert tasks[0] == tasks[1]  # the default is one BLAS thread
 
 
 def test_train_in_a_daemonic_process_fails_typed(tmp_path, synth_root):
