@@ -13,8 +13,6 @@ from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
 from .errors import ParameterError
 
-PRESET_NAMES = ("in1k", "in21k_pretrain", "in21k_finetune", "fixres_finetune")
-
 
 @dataclass(frozen=True)
 class RecipeConfig:
@@ -57,11 +55,11 @@ class RecipeConfig:
             raise ParameterError("test_crop_ratio must lie in (0, 1]")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ParameterError("warmup_epochs must lie in [0, epochs)")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ParameterError("lr must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ParameterError("weight_decay must be non-negative")
-        if self.grad_clip <= 0:
+        if not self.grad_clip > 0:
             raise ParameterError("grad_clip must be positive")
         if not 0.0 <= self.color_jitter < 1.0:
             raise ParameterError("color_jitter must lie in [0, 1)")
@@ -69,42 +67,36 @@ class RecipeConfig:
             raise ParameterError("batch_size and epochs must be at least 1")
         if self.drop_path is not None and not 0.0 <= self.drop_path < 1.0:
             raise ParameterError("drop_path must lie in [0, 1)")
-        if self.mixup_alpha < 0 or self.cutmix_alpha < 0:
+        if not (self.mixup_alpha >= 0 and self.cutmix_alpha >= 0):
             raise ParameterError("mixing alphas must be non-negative")
         if self.dataset not in ("in1k", "in21k"):
             raise ParameterError(f"dataset must be in1k or in21k, got {self.dataset!r}")
 
 
+# 21k pretraining: SRC cropping, CE with smoothing 0.1, no repeated aug, no mixup, 90 epochs
+_IN21K_PRETRAIN = dict(
+    crop_mode="src", repeated_aug=False, mixup_alpha=0.0, label_smoothing=0.1, loss="ce",
+    epochs=90, dataset="in21k",
+)
+
+# preset name -> its keys over RecipeConfig's defaults, the ImageNet-1k from-scratch run
+PRESET_KEYS = {
+    "in1k": {},
+    "in21k_pretrain": _IN21K_PRETRAIN,
+    # the 21k finetune lowers lr to 3e-4 and runs 50 epochs
+    "in21k_finetune": {**_IN21K_PRETRAIN, "lr": 3e-4, "epochs": 50},
+    # the resolution finetune: 20 epochs at lr 1e-5, batch 512, wd 0.1, no warmup, no repeated aug
+    "fixres_finetune": dict(
+        lr=1e-5, batch_size=512, epochs=20, weight_decay=0.1, repeated_aug=False, warmup_epochs=0,
+    ),
+}
+PRESET_NAMES = tuple(PRESET_KEYS)
+
+
 def preset(name: str) -> RecipeConfig:
-    """Named recipes; the column deltas over the from-scratch run are
-    exactly: 21k pretraining swaps to SRC cropping, CE with smoothing 0.1,
-    no repeated aug, no mixup; the 21k finetune lowers lr to 3e-4; the
-    resolution finetune runs 20 epochs at lr 1e-5, batch 512, wd 0.1,
-    no warmup, no repeated aug."""
-    if name == "in1k":
-        return RecipeConfig()
-    if name == "in21k_pretrain":
-        return RecipeConfig(
-            crop_mode="src",
-            repeated_aug=False,
-            mixup_alpha=0.0,
-            label_smoothing=0.1,
-            loss="ce",
-            epochs=90,
-            dataset="in21k",
-        )
-    if name == "in21k_finetune":
-        return replace(preset("in21k_pretrain"), lr=3e-4, epochs=50)
-    if name == "fixres_finetune":
-        return RecipeConfig(
-            lr=1e-5,
-            batch_size=512,
-            epochs=20,
-            weight_decay=0.1,
-            repeated_aug=False,
-            warmup_epochs=0,
-        )
-    raise ParameterError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESET_KEYS:
+        raise ParameterError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return RecipeConfig(**PRESET_KEYS[name])
 
 
 def parse_config_file(path) -> dict:

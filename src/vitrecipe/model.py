@@ -38,13 +38,9 @@ class ViTConfig:
 
     def __post_init__(self):
         _require_positive(**{
-            name: getattr(self, name)
-            for name in ("patch_size", "embed_dim", "depth", "num_heads", "image_size", "num_classes")
+            name: getattr(self, name) for name in ("embed_dim", "depth", "num_heads", "num_classes")
         })
-        if self.image_size % self.patch_size != 0:
-            raise ParameterError(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
+        num_patches(self.image_size, self.patch_size)
         if self.embed_dim % self.num_heads != 0:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
@@ -68,28 +64,21 @@ def _require_positive(**sizes: int) -> None:
 
 
 def num_patches(image_size: int, patch_size: int) -> int:
+    """Tokens of the patch grid; the one check that a size divides into patches."""
     _require_positive(image_size=image_size, patch_size=patch_size)
     if image_size % patch_size != 0:
-        raise ParameterError(f"{image_size} not divisible by patch size {patch_size}")
+        raise ParameterError(f"image size {image_size} not divisible by patch size {patch_size}")
     return (image_size // patch_size) ** 2
 
 
-# name -> (embed_dim, num_heads, depth, patch_size)
+# name -> (embed_dim, num_heads, depth, patch_size, drop-path rate when
+# pretrained on in1k, drop-path rate when pretrained on in21k)
 PRESETS = {
-    "ViT-T": (192, 3, 12, 16),
-    "ViT-S": (384, 6, 12, 16),
-    "ViT-B": (768, 12, 12, 16),
-    "ViT-L": (1024, 16, 24, 16),
-    "ViT-H": (1280, 16, 32, 14),
-}
-
-# drop-path rate by preset and pretraining corpus size
-_DROP_PATH = {
-    "ViT-T": {"in1k": 0.0, "in21k": 0.0},
-    "ViT-S": {"in1k": 0.0, "in21k": 0.0},
-    "ViT-B": {"in1k": 0.1, "in21k": 0.1},
-    "ViT-L": {"in1k": 0.4, "in21k": 0.3},
-    "ViT-H": {"in1k": 0.5, "in21k": 0.5},
+    "ViT-T": (192, 3, 12, 16, 0.0, 0.0),
+    "ViT-S": (384, 6, 12, 16, 0.0, 0.0),
+    "ViT-B": (768, 12, 12, 16, 0.1, 0.1),
+    "ViT-L": (1024, 16, 24, 16, 0.4, 0.3),
+    "ViT-H": (1280, 16, 32, 14, 0.5, 0.5),
 }
 
 
@@ -106,7 +95,8 @@ def canonical_preset(name: str) -> str:
 def preset_drop_path(name: str, dataset: str = "in1k") -> float:
     if dataset not in ("in1k", "in21k"):
         raise ParameterError(f"dataset must be in1k or in21k, got {dataset!r}")
-    return _DROP_PATH[canonical_preset(name)][dataset]
+    in1k, in21k = PRESETS[canonical_preset(name)][4:]
+    return in1k if dataset == "in1k" else in21k
 
 
 def preset_config(
@@ -117,7 +107,7 @@ def preset_config(
     dataset: str = "in1k",
 ) -> ViTConfig:
     preset = canonical_preset(name)
-    dim, heads, depth, patch = PRESETS[preset]
+    dim, heads, depth, patch = PRESETS[preset][:4]
     if drop_path_rate is None:
         drop_path_rate = preset_drop_path(preset, dataset)
     return ViTConfig(
@@ -142,7 +132,7 @@ def param_layout(config: ViTConfig) -> ParamLayout:
     """Every parameter's name, shape and init, in `init`'s order: the one
     statement of the layout, which loading a checkpoint checks against."""
     d, hid, ls = config.embed_dim, config.mlp_hidden, config.layerscale_init
-    tokens = num_patches(config.image_size, config.patch_size) + 1
+    tokens = config.grid**2 + 1
     layout: ParamLayout = {
         "patch_embed.weight": ((3 * config.patch_size**2, d), None),
         "patch_embed.bias": ((d,), 0.0),
@@ -298,15 +288,12 @@ def interpolate_pos_embed(params: ViTParams, new_size: int, patch_size: int) -> 
     to g x g, bicubically resampled (Catmull-Rom, half-pixel centers,
     per-position weight normalization), and flattened back.
     """
-    _require_positive(new_size=new_size, patch_size=patch_size)
-    if new_size % patch_size != 0:
-        raise ParameterError(f"new size {new_size} not divisible by patch {patch_size}")
+    g_new = math.isqrt(num_patches(new_size, patch_size))
     pos = params["pos_embed"].data
     tokens, dim = pos.shape[1], pos.shape[2]
-    g_old = int(round(math.sqrt(tokens - 1)))
+    g_old = math.isqrt(tokens - 1)
     if g_old * g_old != tokens - 1:
         raise DimensionError(f"pos_embed grid is not square: {tokens - 1} rows")
-    g_new = new_size // patch_size
     out = dict(params)
     if g_new == g_old:
         return out
@@ -351,10 +338,6 @@ def count_flops(config: ViTConfig, resolution: int) -> int:
     covers the patch projection, attention including both N^2 terms, the
     MLP, and the classifier head.
     """
-    if resolution % config.patch_size != 0:
-        raise ParameterError(
-            f"resolution {resolution} not divisible by patch {config.patch_size}"
-        )
     d = config.embed_dim
     hid = config.mlp_hidden
     n = num_patches(resolution, config.patch_size)

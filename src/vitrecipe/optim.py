@@ -76,7 +76,7 @@ def grad_clip_global_norm(grads: GradDict, max_norm: float) -> GradDict:
     """Scale all gradients by max_norm/norm when the global L2 norm
     exceeds max_norm; otherwise, a NaN norm included, hand back the input
     unchanged, so a non-finite gradient stays on its own tensor."""
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ParameterError(f"max_norm must be positive, got {max_norm}")
     norm = global_grad_norm(grads)
     if not norm > max_norm:
@@ -127,7 +127,7 @@ def lamb_step(
     pinned to 1 and the rule is exactly AdamW. A missing or non-finite
     gradient raises `ContractError` before anything is updated.
     """
-    if lr < 0:
+    if not lr >= 0:
         raise ParameterError(f"lr must be non-negative, got {lr}")
     for name in params:
         if name not in grads:
@@ -175,7 +175,7 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.warmup_epochs >= self.total_epochs:
             raise ParameterError("warmup_epochs must be smaller than total_epochs")
-        if self.min_lr > self.base_lr:
+        if not self.min_lr <= self.base_lr:
             raise ParameterError("min_lr must not exceed base_lr")
         if self.steps_per_epoch < 1:
             raise ParameterError("steps_per_epoch must be at least 1")

@@ -88,6 +88,14 @@ def test_unknown_preset():
         cfg.preset("in22k")
 
 
+def test_readme_preset_table_lists_every_preset():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Recipe presets", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(row.split("`")[1] for row in rows) == cfg.PRESET_NAMES
+
+
 def test_coupling_rule_combinations_are_constructible():
     # violating Table 1 couplings by hand is allowed; presets stay clean
     cfg.RecipeConfig(loss="bce", label_smoothing=0.1)
@@ -141,10 +149,16 @@ def test_every_recipe_key_is_read_outside_config():
         {"grad_clip": -1.0},
         {"color_jitter": 1.0},
         {"color_jitter": -0.1},
+        {"lr": "nan"},
+        {"weight_decay": "nan"},
+        {"grad_clip": "nan"},
+        {"mixup_alpha": "nan"},
+        {"cutmix_alpha": "nan"},
     ],
 )
 def test_recipe_validation_rejects(kwargs):
-    # the fixed values (the first four cases) are no keys, so naming one fails
+    # the fixed values (the first four cases) are no keys, so naming one fails;
+    # a NaN fails every comparison, so the checks are written to refuse it
     with pytest.raises(ParameterError):
         cfg.load_recipe(overrides=[f"{key}={value}" for key, value in kwargs.items()])
 

@@ -232,12 +232,20 @@ def test_preset_name_normalization():
         mdl.canonical_preset("vit-xxl")
 
 
+DROP_PATH_TABLE = {  # (preset, pretraining corpus) -> stochastic-depth rate
+    ("ViT-T", "in1k"): 0.0, ("ViT-T", "in21k"): 0.0,
+    ("ViT-S", "in1k"): 0.0, ("ViT-S", "in21k"): 0.0,
+    ("ViT-B", "in1k"): 0.1, ("ViT-B", "in21k"): 0.1,
+    ("ViT-L", "in1k"): 0.4, ("ViT-L", "in21k"): 0.3,
+    ("ViT-H", "in1k"): 0.5, ("ViT-H", "in21k"): 0.5,
+}
+
+
 def test_preset_drop_path_by_corpus():
-    assert mdl.preset_drop_path("ViT-T", "in1k") == 0.0
-    assert mdl.preset_drop_path("ViT-B", "in1k") == 0.1
-    assert mdl.preset_drop_path("ViT-L", "in1k") == 0.4
-    assert mdl.preset_drop_path("ViT-L", "in21k") == 0.3
-    assert mdl.preset_drop_path("ViT-H", "in21k") == 0.5
+    assert {key[0] for key in DROP_PATH_TABLE} == set(mdl.PRESETS)
+    for (name, corpus), rate in DROP_PATH_TABLE.items():
+        assert mdl.preset_drop_path(name, corpus) == rate, (name, corpus)
+        assert mdl.preset_config(name, dataset=corpus).drop_path_rate == rate, (name, corpus)
     with pytest.raises(ParameterError):
         mdl.preset_drop_path("ViT-B", "jft")
 
@@ -492,10 +500,16 @@ def test_interpolate_rejects_a_non_positive_size(new_size, patch_size):
         mdl.interpolate_pos_embed(tiny_params(), new_size, patch_size)
 
 
-def test_interpolate_rejects_indivisible_size():
-    params = tiny_params()
-    with pytest.raises(ParameterError):
-        mdl.interpolate_pos_embed(params, 18, TINY.patch_size)
+@pytest.mark.parametrize("check", [
+    lambda size: mdl.num_patches(size, TINY.patch_size),
+    lambda size: replace(TINY, image_size=size),
+    lambda size: mdl.count_flops(TINY, size),
+    lambda size: mdl.interpolate_pos_embed(tiny_params(), size, TINY.patch_size),
+], ids=["num_patches", "ViTConfig", "count_flops", "interpolate_pos_embed"])
+def test_an_indivisible_size_is_refused(check):
+    # 18 px does not divide into TINY's 4 px patches
+    with pytest.raises(ParameterError, match="not divisible"):
+        check(18)
 
 
 def test_interpolated_model_still_runs():

@@ -126,8 +126,9 @@ def test_lamb_step_error_contracts():
             params, {"a.weight": np.array([[np.nan, 0.0], [0.0, 0.0]])}, state,
             lr=1e-3, weight_decay=0.0,
         )
-    with pytest.raises(ParameterError):
-        opt.lamb_step(params, {"a.weight": np.zeros((2, 2))}, state, lr=-1.0, weight_decay=0.0)
+    for lr in (-1.0, np.nan):
+        with pytest.raises(ParameterError):
+            opt.lamb_step(params, {"a.weight": np.zeros((2, 2))}, state, lr=lr, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, None], ids=["nan", "inf", "missing"])
@@ -192,8 +193,9 @@ def test_clip_rescales_only_above_threshold():
     np.testing.assert_allclose(clipped["a"], [0.6])
     untouched = opt.grad_clip_global_norm(grads, 10.0)
     assert untouched is grads
-    with pytest.raises(ParameterError):
-        opt.grad_clip_global_norm(grads, 0.0)
+    for max_norm in (0.0, np.nan):
+        with pytest.raises(ParameterError):
+            opt.grad_clip_global_norm(grads, max_norm)
 
 
 def test_a_nan_gradient_is_clipped_to_no_other_tensor():
@@ -323,8 +325,9 @@ def test_cosine_step_bounds():
 def test_schedule_validation():
     with pytest.raises(ParameterError):
         opt.ScheduleConfig(base_lr=1e-3, warmup_epochs=5, total_epochs=5, steps_per_epoch=10)
-    with pytest.raises(ParameterError):
-        opt.ScheduleConfig(base_lr=1e-7, warmup_epochs=1, total_epochs=2, steps_per_epoch=10)
+    for base_lr in (1e-7, np.nan):
+        with pytest.raises(ParameterError):
+            opt.ScheduleConfig(base_lr=base_lr, warmup_epochs=1, total_epochs=2, steps_per_epoch=10)
     with pytest.raises(ParameterError):
         opt.ScheduleConfig(base_lr=1e-3, warmup_epochs=1, total_epochs=2, steps_per_epoch=0)
 
