@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
+from .config import RecipeConfig
 from .errors import DimensionError, ParameterError
 from .rng import Rng
 
@@ -60,32 +60,6 @@ class ImageU8:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class AugmentPolicy:
-    color_jitter_strength: float = 0.3
-    hflip_prob: float = 0.5
-    crop_mode: str = "rrc"  # the recipe's spelling: "rrc" or "src"
-    mixup_alpha: float = 0.8  # <= 0 disables
-    cutmix_alpha: float = 1.0  # <= 0 disables
-    train_resolution: int = 224
-    # 3-Augment's fixed solarize threshold and blur sigma range; RRC's area
-    # and aspect-ratio ranges
-    solarize_threshold: ClassVar[int] = 128
-    blur_sigma_range: ClassVar[tuple] = (0.1, 2.0)
-    rrc_scale: ClassVar[tuple] = (0.08, 1.0)
-    rrc_ratio: ClassVar[tuple] = (3.0 / 4.0, 4.0 / 3.0)
-
-    def __post_init__(self):
-        if self.crop_mode not in ("rrc", "src"):
-            raise ParameterError(f"crop_mode must be rrc or src, got {self.crop_mode!r}")
-        if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ParameterError("hflip_prob must lie in [0, 1]")
-        if not 0.0 <= self.color_jitter_strength < 1.0:
-            raise ParameterError("color_jitter_strength must lie in [0, 1)")
-        if self.train_resolution < 1:
-            raise ParameterError("train_resolution must be at least 1")
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
@@ -179,7 +153,7 @@ def solarize(img: ImageU8, threshold: int) -> ImageU8:
 
 
 def gaussian_blur(img: ImageU8, sigma: float) -> ImageU8:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError(f"blur sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -273,7 +247,7 @@ def _lookup(table: np.ndarray, pixels: np.ndarray, scratch: np.ndarray) -> np.nd
     return np.take(table, pixels.astype(np.intp), out=out, mode="wrap")
 
 
-def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
+def three_augment_traced(img: ImageU8, recipe: RecipeConfig, rng: Rng):
     """3-Augment: one of grayscale, solarize and blur, then color jitter.
     Returns the image and the branch that fired (0 gray, 1 solarize, 2 blur).
     The flip that follows is drawn by `training.augment_train_sample_traced`.
@@ -286,19 +260,19 @@ def three_augment_traced(img: ImageU8, policy: AugmentPolicy, rng: Rng):
     if branch == 0:
         out = grayscale(img)
     elif branch == 1:
-        out = solarize(img, policy.solarize_threshold)
+        out = solarize(img, RecipeConfig.solarize_threshold)
     else:
-        sigma = rng.uniform(*policy.blur_sigma_range)
+        sigma = rng.uniform(*RecipeConfig.blur_sigma_range)
         out = gaussian_blur(img, sigma)
-    return color_jitter(out, policy.color_jitter_strength, rng), branch
+    return color_jitter(out, recipe.color_jitter, rng), branch
 
 
 def random_resized_crop(img: ImageU8, out: int, rng: Rng) -> ImageU8:
-    """A crop of area drawn from `AugmentPolicy.rrc_scale` and log-aspect
+    """A crop of area drawn from `RecipeConfig.rrc_scale` and log-aspect
     from `rrc_ratio`, resized to out x out; ten tries, then a centered crop."""
     if out < 1:
         raise ParameterError("crop size must be at least 1")
-    scale_range, ratio_range = AugmentPolicy.rrc_scale, AugmentPolicy.rrc_ratio
+    scale_range, ratio_range = RecipeConfig.rrc_scale, RecipeConfig.rrc_ratio
     h, w = img.height, img.width
     area = float(h * w)
     for _ in range(10):
@@ -374,7 +348,7 @@ def mixup(
     """Convex blend of two batches; lam ~ Beta(alpha, alpha) from `rng`."""
     if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
         raise DimensionError("mixup: batch/target shapes must match pairwise")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError("mixup alpha must be positive when enabled")
     lam = rng.beta(alpha, alpha)
     # lam * a + (1 - lam) * b with that expression's dtypes; the partner's
@@ -406,7 +380,7 @@ def cutmix(
         raise DimensionError("cutmix: batch/target shapes must match pairwise")
     if batch_a.ndim != 4 or batch_a.shape[2] != batch_a.shape[3]:
         raise DimensionError(f"cutmix: batches must be (B, C, R, R), got {batch_a.shape}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError("cutmix alpha must be positive when enabled")
     res = batch_a.shape[2]
     lam = rng.beta(alpha, alpha)
@@ -424,11 +398,11 @@ def cutmix(
     return images, targets
 
 
-def mix_dispatch(policy: AugmentPolicy, rng: Rng) -> str:
+def mix_dispatch(recipe: RecipeConfig, rng: Rng) -> str:
     """Per-batch choice among {"mixup", "cutmix", "none"}; 50/50 when both
     alphas are enabled, the enabled one otherwise."""
-    has_mixup = policy.mixup_alpha > 0
-    has_cutmix = policy.cutmix_alpha > 0
+    has_mixup = recipe.mixup_alpha > 0
+    has_cutmix = recipe.cutmix_alpha > 0
     if has_mixup and has_cutmix:
         return "mixup" if rng.uniform() < 0.5 else "cutmix"
     if has_mixup:

@@ -81,14 +81,13 @@ def _cmd_augment_preview(args) -> int:
         raise ParameterError(f"--count must be at least 1, got {args.count}")
     recipe = _recipe_from_args(args)
     manifest = dat.load_manifest(args.data)
-    policy = trn.policy_from_recipe(recipe)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = min(args.count, len(manifest))
     for i in range(count):
         img = dat.load_image(manifest.image_path(i))
         rng = Rng(trn.augment_seed(recipe, 0, i))
-        out, branch = trn.augment_train_sample_traced(img, policy, recipe.three_augment, rng)
+        out, branch = trn.augment_train_sample_traced(img, recipe, recipe.three_augment, rng)
         suffix = "" if branch is None else f"_branch{branch}"
         name = f"sample{i:04d}_seed{recipe.seed:016x}{suffix}.img1"
         dat.save_image(out, out_dir / name)

@@ -28,8 +28,8 @@ class RecipeConfig:
     crop_mode: str = "rrc"
     three_augment: bool = True
     layerscale_init: float = 1e-4  # 1.0: branch gates start at identity
-    mixup_alpha: float = 0.8
-    cutmix_alpha: float = 1.0
+    mixup_alpha: float = 0.8  # 0 disables
+    cutmix_alpha: float = 1.0  # 0 disables
     color_jitter: float = 0.3
     test_crop_ratio: float = 1.0
     loss: str = "bce"
@@ -38,11 +38,17 @@ class RecipeConfig:
     eval_resolution: int = 224  # recorded, never read: resolve_run overwrites it
     seed: int = 0
     dataset: str = "in1k"  # corpus tag steering per-model drop-path defaults
-    # the recipe's fixed choices: LAMB, cosine decay, no dropout, no random erasing
+    # the recipe's fixed choices: LAMB, cosine decay, no dropout, no random erasing;
+    # 3-Augment's solarize threshold and blur sigma range; RRC's ranges; the flip's 0.5
     optimizer: ClassVar[str] = "lamb"
     lr_decay: ClassVar[str] = "cosine"
     dropout: ClassVar[float] = 0.0
     erasing: ClassVar[bool] = False
+    solarize_threshold: ClassVar[int] = 128
+    blur_sigma_range: ClassVar[tuple] = (0.1, 2.0)
+    rrc_scale: ClassVar[tuple] = (0.08, 1.0)
+    rrc_ratio: ClassVar[tuple] = (3.0 / 4.0, 4.0 / 3.0)
+    hflip_prob: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if self.crop_mode not in ("rrc", "src"):
@@ -65,6 +71,8 @@ class RecipeConfig:
             raise ParameterError("color_jitter must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("batch_size and epochs must be at least 1")
+        if self.train_resolution < 1:
+            raise ParameterError("train_resolution must be at least 1")
         if self.drop_path is not None and not 0.0 <= self.drop_path < 1.0:
             raise ParameterError("drop_path must lie in [0, 1)")
         if not (self.mixup_alpha >= 0 and self.cutmix_alpha >= 0):

@@ -45,8 +45,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # -- the helper thread -------------------------------------------------------
 
 # Two parts when the process may run on two or more CPUs, else one: every op
-# then runs inline on the calling thread.
-_PARTS = 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+# then runs inline on the calling thread. Where the affinity mask cannot be
+# read (macOS has no sched_getaffinity), the count is the machine's.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_PARTS = 2 if (_CPUS or 1) >= 2 else 1
 # Elements a part must hold for the handoff to pay: handing a part to the
 # helper and waiting for it took ~23 µs; a (64, 64) @ (64, 10) product took
 # 6 µs inline and 50 µs split.

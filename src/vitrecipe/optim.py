@@ -39,7 +39,7 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     t = _target_array(targets, logits)
     if t.shape != tuple(logits.shape):
         raise DimensionError(f"bce_loss: target shape {t.shape} != logits {tuple(logits.shape)}")
-    if t.size and (t.min() < 0.0 or t.max() > 1.0):
+    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
         raise ContractError("bce_loss: targets must lie in [0, 1]")
     pos = nm.log_sigmoid(logits)
     neg = nm.log_sigmoid(nm.neg(logits))

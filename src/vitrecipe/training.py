@@ -56,15 +56,10 @@ class TrainResult:
     pos_grid: tuple
 
 
-def policy_from_recipe(recipe: RecipeConfig) -> aug.AugmentPolicy:
-    return aug.AugmentPolicy(
-        color_jitter_strength=recipe.color_jitter,
-        hflip_prob=0.5 if recipe.hflip else 0.0,
-        crop_mode=recipe.crop_mode,
-        mixup_alpha=recipe.mixup_alpha,
-        cutmix_alpha=recipe.cutmix_alpha,
-        train_resolution=recipe.train_resolution,
-    )
+def policy_from_recipe(recipe: RecipeConfig) -> RecipeConfig:
+    """The recipe itself: the augmentation functions read it. Kept only for
+    the benchmark in perfbench/, which still calls it."""
+    return recipe
 
 
 def schedule_from_recipe(recipe: RecipeConfig, steps_per_epoch: int) -> opt.ScheduleConfig:
@@ -84,24 +79,25 @@ def augment_seed(recipe: RecipeConfig, epoch: int, idx: int, occurrence: int = 0
 
 
 def augment_train_sample_traced(
-    img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
+    img: aug.ImageU8, recipe: RecipeConfig, use_three_augment: bool, rng: Rng
 ) -> Tuple[aug.ImageU8, Optional[int]]:
-    """Geometric crop to the train resolution (RRC or SRC by the policy), then
-    3-Augment when on, then the horizontal flip, which is drawn here alone;
-    also the 3-Augment branch that fired, None with 3-Augment off."""
-    crop = aug.random_resized_crop if policy.crop_mode == "rrc" else aug.simple_random_crop
-    out, branch = crop(img, policy.train_resolution, rng), None
+    """Geometric crop to the train resolution (RRC or SRC by the recipe), then
+    3-Augment when on, then the horizontal flip, which is drawn here alone,
+    also when `recipe.hflip` is off; also the 3-Augment branch that fired,
+    None with 3-Augment off."""
+    crop = aug.random_resized_crop if recipe.crop_mode == "rrc" else aug.simple_random_crop
+    out, branch = crop(img, recipe.train_resolution, rng), None
     if use_three_augment:
-        out, branch = aug.three_augment_traced(out, policy, rng)
-    if rng.uniform() < policy.hflip_prob:
+        out, branch = aug.three_augment_traced(out, recipe, rng)
+    if rng.uniform() < RecipeConfig.hflip_prob and recipe.hflip:
         out = aug.hflip(out)
     return out, branch
 
 
 def augment_train_sample(
-    img: aug.ImageU8, policy: aug.AugmentPolicy, use_three_augment: bool, rng: Rng
+    img: aug.ImageU8, recipe: RecipeConfig, use_three_augment: bool, rng: Rng
 ) -> aug.ImageU8:
-    return augment_train_sample_traced(img, policy, use_three_augment, rng)[0]
+    return augment_train_sample_traced(img, recipe, use_three_augment, rng)[0]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -110,13 +106,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _assemble_batch(
-    manifest: dat.DatasetManifest,
-    indices,
-    recipe: RecipeConfig,
-    policy: aug.AugmentPolicy,
-    epoch: int,
-):
+def _assemble_batch(manifest: dat.DatasetManifest, indices, recipe: RecipeConfig, epoch: int):
     """Augmented, standardized (B, 3, R, R) batch plus one-hot targets.
 
     Each occurrence of an index inside one batch is seeded by
@@ -133,21 +123,21 @@ def _assemble_batch(
         if idx not in decoded:
             decoded[idx] = dat.load_image(manifest.image_path(idx))
         rng = Rng(augment_seed(recipe, epoch, idx, occurrence))
-        out = augment_train_sample(decoded[idx], policy, recipe.three_augment, rng)
+        out = augment_train_sample(decoded[idx], recipe, recipe.three_augment, rng)
         dat.normalize(out, images[row])
         labels[row] = manifest.label(idx)
     return images, one_hot(labels, manifest.num_classes)
 
 
-def _apply_mix(images, targets, policy: aug.AugmentPolicy, rng: Rng):
-    kind = aug.mix_dispatch(policy, rng)
+def _apply_mix(images, targets, recipe: RecipeConfig, rng: Rng):
+    kind = aug.mix_dispatch(recipe, rng)
     if kind == "none":
         return images, targets
     # each sample's partner is its mirror; views, as both mixes write fresh arrays
     partner_images, partner_targets = images[::-1], targets[::-1]
     if kind == "mixup":
-        return aug.mixup(images, partner_images, targets, partner_targets, policy.mixup_alpha, rng)
-    return aug.cutmix(images, partner_images, targets, partner_targets, policy.cutmix_alpha, rng)
+        return aug.mixup(images, partner_images, targets, partner_targets, recipe.mixup_alpha, rng)
+    return aug.cutmix(images, partner_images, targets, partner_targets, recipe.cutmix_alpha, rng)
 
 
 def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
@@ -160,16 +150,15 @@ def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
     SIGINT: the trainer ends this process on every exit path."""
     receiver.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    policy = policy_from_recipe(recipe)
     try:
         for epoch in range(recipe.epochs):
             epoch_batches = dat.batches(
                 manifest, recipe.batch_size, recipe.seed, epoch, recipe.repeated_aug
             )
             for step, indices in enumerate(epoch_batches):
-                images, targets = _assemble_batch(manifest, indices, recipe, policy, epoch)
+                images, targets = _assemble_batch(manifest, indices, recipe, epoch)
                 mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
-                sender.send(_apply_mix(images, targets, policy, mix_rng))
+                sender.send(_apply_mix(images, targets, recipe, mix_rng))
     except Exception as exc:
         sender.send(exc)
 
@@ -284,6 +273,8 @@ def evaluate(
     n = len(manifest)
     if batch_size < 1:
         raise ParameterError(f"evaluate: batch_size must be at least 1, got {batch_size}")
+    if not 0.0 < crop_ratio <= 1.0:
+        raise ParameterError(f"evaluate: crop_ratio must lie in (0, 1], got {crop_ratio}")
     _keep_freed_memory()
     view = {name: Tensor(p.data) for name, p in params.items()}
     correct = 0

@@ -232,13 +232,13 @@ def test_criterion_05_schedule_endpoints():
 
 def test_criterion_06_augmentation_statistics():
     started = time.monotonic()
-    policy = aug.AugmentPolicy(train_resolution=16)
+    recipe = cfg.RecipeConfig(train_resolution=16)
     img = dat.synth_image(dat.SynthSpec(4, 1, 16, seed=0), 0, 0)
     n = 30_000
     rng = Rng(42)
     branch_counts = [0, 0, 0]
     for _ in range(n):
-        _, branch = aug.three_augment_traced(img, policy, rng)
+        _, branch = aug.three_augment_traced(img, recipe, rng)
         branch_counts[branch] += 1
     sigma3 = 3 * math.sqrt((1 / 3) * (2 / 3) / n)
     freqs = [c / n for c in branch_counts]
@@ -247,7 +247,7 @@ def test_criterion_06_augmentation_statistics():
     mix_rng = Rng(43)
     kinds = {"mixup": 0, "cutmix": 0}
     for _ in range(n):
-        kinds[aug.mix_dispatch(policy, mix_rng)] += 1
+        kinds[aug.mix_dispatch(recipe, mix_rng)] += 1
     sigma3_half = 3 * math.sqrt(0.25 / n)
     assert abs(kinds["mixup"] / n - 0.5) < sigma3_half, kinds
     report(
@@ -317,7 +317,6 @@ def test_criterion_07_augmentation_oracles():
         assert np.abs(fast - ref_u8).max() <= 1, sigma
 
     # cutmix: the adjusted weight must equal the pasted-pixel count exactly
-    policy = aug.AugmentPolicy(train_resolution=16)
     base = np.zeros((2, 3, 16, 16), dtype=np.float32)
     partner = np.ones_like(base)
     targets_a = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (2, 1))

@@ -17,7 +17,8 @@ from vitrecipe import augment as aug
 from vitrecipe import config as cfg
 from vitrecipe import data as dat
 from vitrecipe import training as trn
-from vitrecipe.augment import AugmentPolicy, ImageU8
+from vitrecipe.augment import ImageU8
+from vitrecipe.config import RecipeConfig
 from vitrecipe.errors import DimensionError, ParameterError
 from vitrecipe.rng import Rng
 
@@ -165,6 +166,8 @@ def test_blur_preserves_mean(size):
 def test_blur_rejects_nonpositive_sigma():
     with pytest.raises(ParameterError):
         aug.gaussian_blur(random_image(4, 4), 0.0)
+    with pytest.raises(ParameterError):  # NaN fails every comparison, so it is refused too
+        aug.gaussian_blur(random_image(4, 4), math.nan)
 
 
 # -- color jitter ---------------------------------------------------------------
@@ -218,18 +221,18 @@ def grayscale_seed():
 
 def test_three_augment_collapses_to_grayscale():
     img = random_image(8, 8, seed=8)
-    policy = AugmentPolicy(color_jitter_strength=0.0, hflip_prob=0.0)
+    recipe = RecipeConfig(color_jitter=0.0)
     seed = grayscale_seed()
-    out, branch = aug.three_augment_traced(img, policy, Rng(seed))
+    out, branch = aug.three_augment_traced(img, recipe, Rng(seed))
     assert branch == 0
     np.testing.assert_array_equal(out.pixels, aug.grayscale(img).pixels)
 
 
 def test_three_augment_deterministic():
     img = random_image(10, 10, seed=9)
-    policy = AugmentPolicy()
-    a = aug.three_augment_traced(img, policy, Rng(42))[0].pixels
-    b = aug.three_augment_traced(img, policy, Rng(42))[0].pixels
+    recipe = RecipeConfig()
+    a = aug.three_augment_traced(img, recipe, Rng(42))[0].pixels
+    b = aug.three_augment_traced(img, recipe, Rng(42))[0].pixels
     np.testing.assert_array_equal(a, b)
 
 
@@ -242,20 +245,20 @@ def test_three_augment_applies_exactly_one_primitive(monkeypatch):
         aug, "gaussian_blur", lambda i, s: (calls.append(2), originals[2](i, s))[1]
     )
     img = random_image(6, 6, seed=10)
-    policy = AugmentPolicy()
+    recipe = RecipeConfig()
     for seed in range(30):
         calls.clear()
-        _, branch = aug.three_augment_traced(img, policy, Rng(seed))
+        _, branch = aug.three_augment_traced(img, recipe, Rng(seed))
         assert calls == [branch]
 
 
 def test_three_augment_branch_frequencies():
     img = random_image(4, 4, seed=11)
-    policy = AugmentPolicy()
+    recipe = RecipeConfig()
     n = 3000
     counts = [0, 0, 0]
     for seed in range(n):
-        _, branch = aug.three_augment_traced(img, policy, Rng(seed))
+        _, branch = aug.three_augment_traced(img, recipe, Rng(seed))
         counts[branch] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / n)
     for c in counts:
@@ -273,8 +276,8 @@ def test_rrc_output_size_contract():
 
 
 def test_rrc_full_area_equals_whole_image_resize(monkeypatch):
-    monkeypatch.setattr(AugmentPolicy, "rrc_scale", (1.0, 1.0))
-    monkeypatch.setattr(AugmentPolicy, "rrc_ratio", (2.0, 2.0))
+    monkeypatch.setattr(RecipeConfig, "rrc_scale", (1.0, 1.0))
+    monkeypatch.setattr(RecipeConfig, "rrc_ratio", (2.0, 2.0))
     img = random_image(10, 20, seed=13)
     out = aug.random_resized_crop(img, 12, Rng(0))
     np.testing.assert_array_equal(out.pixels, aug.resize_bilinear(img, 12, 12).pixels)
@@ -283,7 +286,7 @@ def test_rrc_full_area_equals_whole_image_resize(monkeypatch):
 def test_rrc_fallback_centers_extreme_aspect(monkeypatch):
     # 10x100 image with large forced areas: every attempt overflows the
     # short side, so the centered fallback at the ratio bound fires
-    monkeypatch.setattr(AugmentPolicy, "rrc_scale", (0.9, 1.0))
+    monkeypatch.setattr(RecipeConfig, "rrc_scale", (0.9, 1.0))
     img = random_image(10, 100, seed=14)
     out = aug.random_resized_crop(img, 8, Rng(5))
     cw = int(math.floor(10 * 4 / 3 + 0.5))  # 13
@@ -425,6 +428,14 @@ def test_cutmix_lambda_matches_pixel_count(seed):
     assert tgt[0, 2] == 1.0 - lam_adj
 
 
+@pytest.mark.parametrize("mix", [aug.mixup, aug.cutmix], ids=["mixup", "cutmix"])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_mixing_rejects_a_nonpositive_alpha(mix, alpha):
+    batch = np.zeros((2, 3, 4, 4))
+    with pytest.raises(ParameterError, match="alpha must be positive"):
+        mix(batch, batch, one_hot_rows([0, 1]), one_hot_rows([1, 0]), alpha, Rng(0))
+
+
 def test_cutmix_rejects_non_square():
     bad = np.zeros((1, 3, 4, 6))
     with pytest.raises(DimensionError):
@@ -435,9 +446,9 @@ def test_cutmix_rejects_non_square():
 
 
 def test_mix_dispatch_degenerate_policies():
-    off = AugmentPolicy(mixup_alpha=0.0, cutmix_alpha=0.0)
-    only_cut = AugmentPolicy(mixup_alpha=0.0, cutmix_alpha=1.0)
-    only_mix = AugmentPolicy(mixup_alpha=0.8, cutmix_alpha=0.0)
+    off = RecipeConfig(mixup_alpha=0.0, cutmix_alpha=0.0)
+    only_cut = RecipeConfig(mixup_alpha=0.0, cutmix_alpha=1.0)
+    only_mix = RecipeConfig(mixup_alpha=0.8, cutmix_alpha=0.0)
     for seed in range(20):
         assert aug.mix_dispatch(off, Rng(seed)) == "none"
         assert aug.mix_dispatch(only_cut, Rng(seed)) == "cutmix"
@@ -445,9 +456,9 @@ def test_mix_dispatch_degenerate_policies():
 
 
 def test_mix_dispatch_is_balanced():
-    policy = AugmentPolicy()
+    recipe = RecipeConfig()
     n = 2000
-    hits = sum(aug.mix_dispatch(policy, Rng(seed)) == "mixup" for seed in range(n))
+    hits = sum(aug.mix_dispatch(recipe, Rng(seed)) == "mixup" for seed in range(n))
     sigma = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) < 3 * sigma
 
@@ -499,6 +510,22 @@ def test_reflect_pad_folds_pads_past_the_extent(h, w):
         np.testing.assert_array_equal(aug.reflect_pad(img, pad).pixels, expected)
 
 
+def test_the_flip_is_drawn_with_hflip_off_too():
+    # so turning the flip off changes no other draw: the image is the flip-on one, unflipped
+    img = random_image(20, 20, seed=30)
+    on, off = RecipeConfig(train_resolution=8), RecipeConfig(train_resolution=8, hflip=False)
+    flipped = 0
+    for i in range(12):
+        seed = dat.per_sample_seed(0, 0, i)
+        rng_on, rng_off = Rng(seed), Rng(seed)
+        a = trn.augment_train_sample(img, on, True, rng_on).pixels
+        b = trn.augment_train_sample(img, off, True, rng_off).pixels
+        assert rng_on.uniform() == rng_off.uniform()
+        assert np.array_equal(a, b) or np.array_equal(a, b[:, ::-1])
+        flipped += not np.array_equal(a, b)
+    assert 0 < flipped < 12
+
+
 def test_hflip_involution():
     img = random_image(6, 9, seed=24)
     np.testing.assert_array_equal(aug.hflip(aug.hflip(img)).pixels, img.pixels)
@@ -515,30 +542,11 @@ def test_resize_bilinear_constant_stays_constant():
     assert np.all(out.pixels == np.array([77, 140, 203], dtype=np.uint8))
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"color_jitter_strength": 1.5},
-        {"color_jitter_strength": 1.0},
-        {"color_jitter_strength": -0.1},
-        {"train_resolution": 0},
-        {"train_resolution": -3},
-    ],
-)
-def test_policy_rejects_bad_values_at_construction(kwargs):
-    with pytest.raises(ParameterError):
-        AugmentPolicy(**kwargs)
-
-
 def test_imageu8_validation():
     with pytest.raises(DimensionError):
         ImageU8(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(DimensionError):
         ImageU8(np.zeros((4, 4, 3), dtype=np.float32))
-    with pytest.raises(ParameterError):
-        AugmentPolicy(crop_mode="center")
-    with pytest.raises(ParameterError):  # one spelling, the recipe's
-        AugmentPolicy(crop_mode="RRC")
 
 
 # -- byte pins: each op against a local copy of the whole-image formula ---------------
@@ -745,12 +753,12 @@ def test_augment_224_probe_matches_the_benchmark_record(tmp_path):
     fixed 256 px sources and seeds, hashed as bytes, against the sha256 the
     benchmark checks every run against."""
     record = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
-    policy = trn.policy_from_recipe(cfg.preset("in1k"))
+    recipe = cfg.preset("in1k")
     spec = dat.SynthSpec(num_classes=4, per_class=4, resolution=256, seed=0)
     probe = dat.synth_dataset(spec, tmp_path)
     digest = hashlib.sha256()
     for i in range(64):
         img = dat.load_image(probe.image_path(i % len(probe)))
-        out = trn.augment_train_sample(img, policy, True, Rng(dat.per_sample_seed(0, 0, i)))
+        out = trn.augment_train_sample(img, recipe, True, Rng(dat.per_sample_seed(0, 0, i)))
         digest.update(out.pixels.tobytes())
     assert digest.hexdigest() == record["augment-224"]["probe_sha256"]

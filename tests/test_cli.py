@@ -199,12 +199,11 @@ def test_augment_preview_matches_train_augmentation(dataset, tmp_path, overrides
     assert code == 0
     manifest = dat.load_manifest(dataset)
     recipe = replace(cfg.load_recipe(overrides=overrides), seed=9)
-    policy = trn.policy_from_recipe(recipe)
     files = sorted(out.glob("*.img1"))
     assert len(files) == 4
     for i, f in enumerate(files):
         assert ("_branch" in f.name) == recipe.three_augment
-        loader_images, _ = trn._assemble_batch(manifest, [i], recipe, policy, 0)
+        loader_images, _ = trn._assemble_batch(manifest, [i], recipe, 0)
         np.testing.assert_array_equal(dat.normalize(dat.load_image(f)), loader_images[0])
 
 

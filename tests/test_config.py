@@ -2,15 +2,24 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import vitrecipe
 from vitrecipe import config as cfg
 from vitrecipe.errors import ParameterError
 
 # the recipe's fixed values: class constants, read with getattr like the keys
-FIXED = {"optimizer": "lamb", "lr_decay": "cosine", "dropout": 0.0, "erasing": False}
+FIXED = {
+    "optimizer": "lamb", "lr_decay": "cosine", "dropout": 0.0, "erasing": False,
+    "solarize_threshold": 128, "blur_sigma_range": (0.1, 2.0), "rrc_scale": (0.08, 1.0),
+    "rrc_ratio": (3.0 / 4.0, 4.0 / 3.0), "hflip_prob": 0.5,
+}
 
 IN1K_SNAPSHOT = {
     **FIXED,
@@ -88,12 +97,32 @@ def test_unknown_preset():
         cfg.preset("in22k")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_preset_table_lists_every_preset():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Recipe presets", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Recipe presets", 1)[1]
     section = section.split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     assert tuple(row.split("`")[1] for row in rows) == cfg.PRESET_NAMES
+
+
+def test_readme_fixed_values_name_package_attributes():
+    """Each `Class.attr` or `Class.a/b` in README's list of fixed values is
+    an attribute of a class the package defines."""
+    classes = {}
+    for info in pkgutil.iter_modules(vitrecipe.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"vitrecipe.{info.name}")
+            classes.update((name, c) for name, c in vars(module).items()
+                           if inspect.isclass(c) and c.__module__ == module.__name__)
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Some values of the recipe are fixed", 1)[1].split("\n\n")[1]
+    named = re.findall(r"`([A-Z]\w*)\.(\w+(?:/\w+)*)`", section)
+    assert len(named) >= 5, section
+    missing = [f"{cls}.{attr}" for cls, attrs in named for attr in attrs.split("/")
+               if not hasattr(classes.get(cls), attr)]
+    assert not missing, missing
 
 
 def test_coupling_rule_combinations_are_constructible():
@@ -154,6 +183,10 @@ def test_every_recipe_key_is_read_outside_config():
         {"grad_clip": "nan"},
         {"mixup_alpha": "nan"},
         {"cutmix_alpha": "nan"},
+        {"color_jitter": 1.5},
+        {"crop_mode": "RRC"},  # one spelling
+        {"train_resolution": 0},
+        {"train_resolution": -3},
     ],
 )
 def test_recipe_validation_rejects(kwargs):
@@ -188,7 +221,7 @@ def test_parse_config_file_rejects_non_utf8(tmp_path):
     assert str(path) in str(excinfo.value)
 
 
-@pytest.mark.parametrize("key", ["optimizer", "lr_decay", "dropout", "erasing", "layerscale"])
+@pytest.mark.parametrize("key", [*FIXED, "layerscale"])
 def test_fixed_values_are_unknown_keys(tmp_path, key):
     with pytest.raises(ParameterError, match="unknown config key"):
         cfg.load_recipe(overrides=[f"{key}=0"])

@@ -729,6 +729,32 @@ def test_importing_numerics_starts_no_thread():
     assert result.stdout.strip() == "1"
 
 
+# Without the affinity call, as on macOS: the package imports, and a GELU of
+# three blocks splits by the machine's CPU count.
+_IMPORT_WITHOUT_AFFINITY = """
+import os
+del os.sched_getaffinity
+import numpy as np
+from vitrecipe import numerics as nm
+x = np.random.default_rng(88).standard_normal(3 * nm._GELU_BLOCK).astype(np.float32)
+print(nm._PARTS, nm.gelu(nm.Tensor(x)).data.tobytes().hex())
+"""
+
+
+def test_numerics_imports_and_splits_where_affinity_is_unknown():
+    src = str(Path(nm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WITHOUT_AFFINITY], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    parts, out = result.stdout.split()
+    assert int(parts) == (2 if os.cpu_count() >= 2 else 1)
+    x = np.random.default_rng(88).standard_normal(3 * nm._GELU_BLOCK).astype(np.float32)
+    assert bytes.fromhex(out) == nm.gelu(Tensor(x)).data.tobytes()
+
+
 def _gelu_in_child(x, expected):
     sys.exit(0 if nm.gelu(Tensor(x)).data.tobytes() == expected else 1)
 

@@ -235,6 +235,8 @@ def test_bce_contracts():
     logits = Tensor(np.zeros((1, 2)), dtype=np.float64)
     with pytest.raises(ContractError):
         opt.bce_loss(logits, np.array([[1.5, 0.0]]))
+    with pytest.raises(ContractError):
+        opt.bce_loss(logits, np.array([[np.nan, 0.0]]))
     with pytest.raises(DimensionError):
         opt.bce_loss(logits, np.array([[1.0, 0.0, 0.0]]))
 

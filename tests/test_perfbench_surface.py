@@ -218,7 +218,7 @@ def test_every_attribute_perfbench_reads_off_a_package_object_exists():
     assert checked >= {
         "TrainResult.steps", "TrainResult.metrics_path", "TrainResult.checkpoint_path",
         "DatasetManifest.image_path", "DatasetManifest.label", "DatasetManifest.num_classes",
-        "AugmentPolicy.train_resolution", "AugmentPolicy.mixup_alpha",
-        "AugmentPolicy.cutmix_alpha", "RecipeConfig.three_augment", "ImageU8.pixels",
+        "RecipeConfig.train_resolution", "RecipeConfig.mixup_alpha",
+        "RecipeConfig.cutmix_alpha", "RecipeConfig.three_augment", "ImageU8.pixels",
         "Tensor.data",
     }

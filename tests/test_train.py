@@ -526,17 +526,14 @@ def test_loader_stream_is_the_in_process_stream(tmp_path, synth_root, monkeypatc
     trn.train(recipe, synth_root, toy_model(), tmp_path / "stream")
 
     assert recipe.repeated_aug
-    policy = trn.policy_from_recipe(recipe)
     expected, kinds = [], set()
     for epoch in range(recipe.epochs):
         epoch_batches = dat.batches(synth_root, recipe.batch_size, recipe.seed, epoch, True)
         for step, indices in enumerate(epoch_batches):
-            images, targets = trn._assemble_batch(
-                synth_root, indices, recipe, policy, epoch
-            )
+            images, targets = trn._assemble_batch(synth_root, indices, recipe, epoch)
             mix_seed = derive_seed(recipe.seed, dat.TAG_MIX, epoch, step)
-            kinds.add(aug.mix_dispatch(policy, Rng(mix_seed)))
-            images, targets = trn._apply_mix(images, targets, policy, Rng(mix_seed))
+            kinds.add(aug.mix_dispatch(recipe, Rng(mix_seed)))
+            images, targets = trn._apply_mix(images, targets, recipe, Rng(mix_seed))
             expected.append([images.tobytes(), targets.tobytes()])
     assert kinds == {"mixup", "cutmix"}
     assert len(received) == len(expected) == 10
@@ -558,7 +555,7 @@ def test_assemble_batch_decodes_each_distinct_index_once(tmp_path, monkeypatch):
         return real_load(path)
 
     monkeypatch.setattr(dat, "load_image", load_image)
-    trn._assemble_batch(manifest, indices, recipe, trn.policy_from_recipe(recipe), 0)
+    trn._assemble_batch(manifest, indices, recipe, 0)
     assert sorted(loads) == sorted(manifest.image_path(i) for i in set(indices))
 
 
@@ -613,30 +610,30 @@ def test_loader_memory_does_not_grow_with_the_manifest(tmp_path, monkeypatch):
     assert heaps[2] - heaps[1] < extra_images_bytes / 10, heaps
 
 
-def _apply_mix_with_copied_partners(images, targets, policy, rng):
+def _apply_mix_with_copied_partners(images, targets, recipe, rng):
     """`training._apply_mix` as it was when it copied each mirrored partner."""
-    kind = aug.mix_dispatch(policy, rng)
+    kind = aug.mix_dispatch(recipe, rng)
     if kind == "none":
         return images, targets
     partner_images, partner_targets = images[::-1].copy(), targets[::-1].copy()
     if kind == "mixup":
-        return aug.mixup(images, partner_images, targets, partner_targets, policy.mixup_alpha, rng)
-    return aug.cutmix(images, partner_images, targets, partner_targets, policy.cutmix_alpha, rng)
+        return aug.mixup(images, partner_images, targets, partner_targets, recipe.mixup_alpha, rng)
+    return aug.cutmix(images, partner_images, targets, partner_targets, recipe.cutmix_alpha, rng)
 
 
 @pytest.mark.parametrize("batch", [6, 7], ids=["even", "odd"])
 def test_apply_mix_pins_the_call_with_copied_partners(batch):
     # an odd batch pairs its middle sample with itself
-    policy = aug.AugmentPolicy(train_resolution=16)
+    recipe = cfg.RecipeConfig(train_resolution=16)
     gen = np.random.default_rng(batch)
     kinds = set()
     for seed in range(8):
         images = gen.normal(size=(batch, 3, 16, 16)).astype(np.float32)
         targets = trn.one_hot(gen.integers(0, 4, batch), 4)
         before = images.copy(), targets.copy()
-        kinds.add(aug.mix_dispatch(policy, Rng(seed)))
-        got = trn._apply_mix(images, targets, policy, Rng(seed))
-        expected = _apply_mix_with_copied_partners(*before, policy, Rng(seed))
+        kinds.add(aug.mix_dispatch(recipe, Rng(seed)))
+        got = trn._apply_mix(images, targets, recipe, Rng(seed))
+        expected = _apply_mix_with_copied_partners(*before, recipe, Rng(seed))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
         assert [a.dtype for a in got] == [a.dtype for a in expected]
         assert images.tobytes() == before[0].tobytes() and targets.tobytes() == before[1].tobytes()
@@ -944,6 +941,9 @@ def test_evaluate_sets_the_allocator_only_once_its_arguments_pass(tmp_path, monk
     )
     with pytest.raises(ParameterError, match="batch_size"):
         trn.evaluate(config, params, manifest, batch_size=0)
+    for crop_ratio in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="crop_ratio"):
+            trn.evaluate(config, params, manifest, crop_ratio=crop_ratio)
     assert side_effects == []
     trn.evaluate(config, params, manifest)
     assert side_effects == ["allocator"]
