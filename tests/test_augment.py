@@ -542,6 +542,22 @@ def test_resize_bilinear_constant_stays_constant():
     assert np.all(out.pixels == np.array([77, 140, 203], dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"color_jitter": 1.5},
+        {"color_jitter": 1.0},
+        {"color_jitter": -0.1},
+        {"train_resolution": 0},
+        {"train_resolution": -3},
+    ],
+)
+def test_policy_rejects_bad_values_at_construction(kwargs):
+    # the recipe is the augmentation's policy: a bad value fails before any image is drawn
+    with pytest.raises(ParameterError):
+        RecipeConfig(**kwargs)
+
+
 def test_imageu8_validation():
     with pytest.raises(DimensionError):
         ImageU8(np.zeros((4, 4), dtype=np.uint8))
