@@ -5,7 +5,7 @@ uniformly, then color jitter; cropping is either random-resized-crop or
 the simpler fixed-scale crop with reflect padding (numpy's reflect mode,
 made once per image by `reflect_pad`, as the blur's is). The horizontal
 flip is drawn by `training.augment_train_sample_traced`, after either path.
-Label-space mixing (mixup/cutmix) operates on prepared float batches.
+Label-space mixing (mixup/cutmix) writes into the float batch it is given.
 
 Everything is a pure function of (input, Rng state): byte-identical
 results for a given seed, numpy and scipy build. All float intermediates
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RecipeConfig
-from .errors import DimensionError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError
 from .rng import Rng
 
 # BT.601 luma weights
@@ -337,6 +337,30 @@ def eval_preprocess(img: ImageU8, out: int, crop_ratio: float) -> ImageU8:
 # -- label-space mixing (operates on prepared float batches) ----------------
 
 
+def _check_mix(name: str, batch_a, batch_b, targets_a, targets_b, alpha: float) -> None:
+    """What both mixes refuse before they draw or write a row. They write
+    into `batch_a`, so it must be a writable float array, and `batch_b` must
+    have its dtype, so that each partner row rounds as `batch_a`'s does."""
+    if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
+        raise DimensionError(f"{name}: batch/target shapes must match pairwise")
+    if not np.issubdtype(batch_a.dtype, np.floating) or batch_b.dtype != batch_a.dtype:
+        raise DimensionError(
+            f"{name}: batches must share one float dtype, got {batch_a.dtype} and {batch_b.dtype}"
+        )
+    if not batch_a.flags.writeable:
+        raise ContractError(f"{name}: batch_a is read-only, and the mix is written into it")
+    if not alpha > 0:
+        raise ParameterError(f"{name} alpha must be positive when enabled")
+
+
+def _mirror_pairs(n: int) -> list:
+    """Rows (i, n-1-i) for i < n/2, then the middle row alone when n is odd.
+    A pair's rows of `batch_b` are its own rows of `batch_a` when `batch_b`
+    is `batch_a[::-1]`, so a mix that reads a pair whole before writing it
+    reads no row it has written."""
+    return [(i, n - 1 - i) if 2 * i != n - 1 else (i,) for i in range((n + 1) // 2)]
+
+
 def mixup(
     batch_a: np.ndarray,
     batch_b: np.ndarray,
@@ -345,21 +369,25 @@ def mixup(
     alpha: float,
     rng: Rng,
 ):
-    """Convex blend of two batches; lam ~ Beta(alpha, alpha) from `rng`."""
-    if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
-        raise DimensionError("mixup: batch/target shapes must match pairwise")
-    if not alpha > 0:
-        raise ParameterError("mixup alpha must be positive when enabled")
+    """Convex blend of two batches, written into `batch_a`, which is
+    returned; lam ~ Beta(alpha, alpha) from `rng`. `batch_b` is either
+    `batch_a[::-1]` or an array that shares no memory with it. The targets
+    are a new array."""
+    _check_mix("mixup", batch_a, batch_b, targets_a, targets_b, alpha)
     lam = rng.beta(alpha, alpha)
-    # lam * a + (1 - lam) * b with that expression's dtypes; the partner's
-    # product is made one sample at a time, in a reused one-sample buffer
-    images = np.multiply(lam, batch_a)
-    partner = (1.0 - lam) * batch_b[:1]
-    for row, b in zip(images, batch_b):
-        np.multiply(1.0 - lam, b, out=partner[0])
-        row += partner[0]
+    # lam * a + (1 - lam) * b in that expression's dtype, rounded once to the
+    # batch's: a pair's two rows are made in scratch before either is written
+    mixed = np.empty((2,) + batch_a.shape[1:], np.result_type(lam, batch_a))
+    partner = np.empty_like(mixed[0])
+    for pair in _mirror_pairs(len(batch_a)):
+        for row, r in zip(mixed, pair):
+            np.multiply(lam, batch_a[r], out=row)
+            np.multiply(1.0 - lam, batch_b[r], out=partner)
+            row += partner
+        for row, r in zip(mixed, pair):
+            batch_a[r] = row
     targets = lam * targets_a + (1.0 - lam) * targets_b
-    return images.astype(batch_a.dtype, copy=False), targets
+    return batch_a, targets
 
 
 def cutmix(
@@ -370,18 +398,18 @@ def cutmix(
     alpha: float,
     rng: Rng,
 ):
-    """Paste a rectangle of b into a; targets mix by the exact pasted area.
+    """Paste a rectangle of b into a, in place in `batch_a`, which is
+    returned; targets mix by the exact pasted area, in a new array.
+    `batch_b` is either `batch_a[::-1]` or an array that shares no memory
+    with it.
 
     lam ~ Beta(alpha, alpha), then the center x and y, are drawn from `rng`.
     The rectangle has side ratio sqrt(1-lam) and that center, clipped to
     bounds. Batches are (B, C, R, R) with square resolution.
     """
-    if batch_a.shape != batch_b.shape or targets_a.shape != targets_b.shape:
-        raise DimensionError("cutmix: batch/target shapes must match pairwise")
+    _check_mix("cutmix", batch_a, batch_b, targets_a, targets_b, alpha)
     if batch_a.ndim != 4 or batch_a.shape[2] != batch_a.shape[3]:
         raise DimensionError(f"cutmix: batches must be (B, C, R, R), got {batch_a.shape}")
-    if not alpha > 0:
-        raise ParameterError("cutmix alpha must be positive when enabled")
     res = batch_a.shape[2]
     lam = rng.beta(alpha, alpha)
     side = math.sqrt(max(0.0, 1.0 - lam))
@@ -391,11 +419,18 @@ def cutmix(
     x0, x1 = max(0, x_raw), min(res, x_raw + bw)
     y0, y1 = max(0, y_raw), min(res, y_raw + bw)
     area = (x1 - x0) * (y1 - y0)  # both extents are >= 0: each center lies in [0, res)
-    images = batch_a.copy()
-    images[:, :, y0:y1, x0:x1] = batch_b[:, :, y0:y1, x0:x1]
+    # a pair's two boxes of b are copied out before either is pasted; one
+    # slice assignment over a mirror view would make numpy copy all of b's boxes
+    box = (slice(None), slice(y0, y1), slice(x0, x1))
+    patches = np.empty((2, batch_a.shape[1], y1 - y0, x1 - x0), batch_a.dtype)
+    for pair in _mirror_pairs(len(batch_a)):
+        for patch, r in zip(patches, pair):
+            np.copyto(patch, batch_b[r][box])
+        for patch, r in zip(patches, pair):
+            batch_a[r][box] = patch
     lam_adj = 1.0 - area / float(res * res)
     targets = lam_adj * targets_a + (1.0 - lam_adj) * targets_b
-    return images, targets
+    return batch_a, targets
 
 
 def mix_dispatch(recipe: RecipeConfig, rng: Rng) -> str:

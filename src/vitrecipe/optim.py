@@ -39,7 +39,9 @@ def bce_loss(logits: Tensor, targets) -> Tensor:
     t = _target_array(targets, logits)
     if t.shape != tuple(logits.shape):
         raise DimensionError(f"bce_loss: target shape {t.shape} != logits {tuple(logits.shape)}")
-    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
+    if t.size == 0:
+        raise DimensionError(f"bce_loss: no logits to average, shape {t.shape}")
+    if not (t.min() >= 0.0 and t.max() <= 1.0):
         raise ContractError("bce_loss: targets must lie in [0, 1]")
     pos = nm.log_sigmoid(logits)
     neg = nm.log_sigmoid(nm.neg(logits))
@@ -56,6 +58,8 @@ def ce_smoothed_loss(logits: Tensor, targets, epsilon: float = 0.0) -> Tensor:
         raise DimensionError(
             f"ce_smoothed_loss: target shape {t.shape} != logits {tuple(logits.shape)}"
         )
+    if t.size == 0:
+        raise DimensionError(f"ce_smoothed_loss: no logits to average, shape {t.shape}")
     b, k = logits.shape
     smoothed = (1.0 - epsilon) * t + epsilon / k
     log_probs = nm.log_softmax(logits)

@@ -133,7 +133,7 @@ def _apply_mix(images, targets, recipe: RecipeConfig, rng: Rng):
     kind = aug.mix_dispatch(recipe, rng)
     if kind == "none":
         return images, targets
-    # each sample's partner is its mirror; views, as both mixes write fresh arrays
+    # each sample's partner is its mirror, a view: both mixes accept it
     partner_images, partner_targets = images[::-1], targets[::-1]
     if kind == "mixup":
         return aug.mixup(images, partner_images, targets, partner_targets, recipe.mixup_alpha, rng)
@@ -141,12 +141,14 @@ def _apply_mix(images, targets, recipe: RecipeConfig, rng: Rng):
 
 
 def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
-    """The loader process: every step's mixed (images, targets), in (epoch,
-    step) order, sent to the trainer; an exception is sent in their place.
+    """The loader process: every step's mixed targets and then its images, in
+    (epoch, step) order, sent to the trainer; an exception is sent in their
+    place. The images go as their own bytes (`send_bytes`), not pickled, and
+    each batch is dropped before the next is made, so the loader holds one.
 
-    A blocking `send` holds at most one finished batch, so the loader runs
+    A blocking send holds at most one finished batch, so the loader runs
     one step ahead. It closes its copy of the trainer's end, so a trainer
-    that dies fails the `send` instead of leaving it blocked, and ignores
+    that dies fails the send instead of leaving it blocked, and ignores
     SIGINT: the trainer ends this process on every exit path."""
     receiver.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -158,7 +160,10 @@ def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
             for step, indices in enumerate(epoch_batches):
                 images, targets = _assemble_batch(manifest, indices, recipe, epoch)
                 mix_rng = Rng(derive_seed(recipe.seed, dat.TAG_MIX, epoch, step))
-                sender.send(_apply_mix(images, targets, recipe, mix_rng))
+                images, targets = _apply_mix(images, targets, recipe, mix_rng)
+                sender.send(targets)
+                sender.send_bytes(images)
+                del images, targets
     except Exception as exc:
         sender.send(exc)
 
@@ -167,7 +172,8 @@ def _load_batches(sender, receiver, manifest, recipe: RecipeConfig) -> None:
 def _batch_loader(manifest, recipe: RecipeConfig):
     """Start the loader process and yield `receive(epoch, step)`, which
     returns that step's batch or raises there what stopped the loader. The
-    process is ended on every exit path."""
+    images are a read-only view of the bytes received. The process is ended
+    on every exit path."""
     if mp.current_process().daemon:
         raise ContractError(
             "the batch loader process cannot start under a daemonic parent process "
@@ -182,17 +188,22 @@ def _batch_loader(manifest, recipe: RecipeConfig):
     sender.close()  # else a loader that dies leaves `recv` waiting on this copy
 
     def receive(epoch: int, step: int):
-        try:
-            item = receiver.recv()
-        except EOFError:
-            loader.join()
-            raise ContractError(
-                f"the batch loader exited with code {loader.exitcode} before sending "
-                f"epoch {epoch} step {step}"
-            ) from None
-        if isinstance(item, Exception):
-            raise item
-        return item
+        def read(recv):
+            try:
+                return recv()
+            except EOFError:
+                loader.join()
+                raise ContractError(
+                    f"the batch loader exited with code {loader.exitcode} before sending "
+                    f"epoch {epoch} step {step}"
+                ) from None
+
+        targets = read(receiver.recv)
+        if isinstance(targets, Exception):
+            raise targets
+        images = np.frombuffer(read(receiver.recv_bytes), np.float32)
+        r = recipe.train_resolution
+        return images.reshape(len(targets), 3, r, r), targets
 
     try:
         yield receive

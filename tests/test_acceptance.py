@@ -322,7 +322,7 @@ def test_criterion_07_augmentation_oracles():
     targets_a = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (2, 1))
     targets_b = np.tile(np.array([[0.0, 1.0]], dtype=np.float32), (2, 1))
     for seed in range(8):
-        mixed, tgt = aug.cutmix(base, partner, targets_a, targets_b, 1.0, Rng(seed))
+        mixed, tgt = aug.cutmix(base.copy(), partner, targets_a, targets_b, 1.0, Rng(seed))
         pasted = int((mixed[0, 0] == 1.0).sum())
         assert tgt[0, 0] == 1.0 - pasted / 256.0, seed
 

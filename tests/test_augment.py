@@ -19,7 +19,7 @@ from vitrecipe import data as dat
 from vitrecipe import training as trn
 from vitrecipe.augment import ImageU8
 from vitrecipe.config import RecipeConfig
-from vitrecipe.errors import DimensionError, ParameterError
+from vitrecipe.errors import ContractError, DimensionError, ParameterError
 from vitrecipe.rng import Rng
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -379,11 +379,12 @@ def test_mixup_lambda_endpoints():
     b = np.random.default_rng(21).normal(size=(3, 3, 8, 8))
     ya, yb = one_hot_rows([0, 1, 2]), one_hot_rows([3, 2, 1])
 
-    img, tgt = aug.mixup(a, b, ya, yb, 0.8, ScriptedRng(1.0))
+    # the mix is written into its first batch, so each call gets a fresh copy
+    img, tgt = aug.mixup(a.copy(), b, ya, yb, 0.8, ScriptedRng(1.0))
     np.testing.assert_array_equal(img, a)
     np.testing.assert_array_equal(tgt, ya)
 
-    img, tgt = aug.mixup(a, b, ya, yb, 0.8, ScriptedRng(0.5))
+    img, tgt = aug.mixup(a.copy(), b, ya, yb, 0.8, ScriptedRng(0.5))
     np.testing.assert_allclose(img, 0.5 * a + 0.5 * b)
     assert tgt[0, 0] == 0.5 and tgt[0, 3] == 0.5
 
@@ -405,11 +406,11 @@ def test_cutmix_box_endpoints():
     ya, yb = one_hot_rows([0, 1]), one_hot_rows([2, 3])
 
     # lam 1 gives an empty box; lam 0 centered at (4, 4) gives (0, 0, 8, 8)
-    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, ScriptedRng(1.0, 3, 5))
+    img, tgt = aug.cutmix(a.copy(), b, ya, yb, 1.0, ScriptedRng(1.0, 3, 5))
     np.testing.assert_array_equal(img, a)
     np.testing.assert_array_equal(tgt, ya)
 
-    img, tgt = aug.cutmix(a, b, ya, yb, 1.0, ScriptedRng(0.0, 4, 4))
+    img, tgt = aug.cutmix(a.copy(), b, ya, yb, 1.0, ScriptedRng(0.0, 4, 4))
     np.testing.assert_array_equal(img, b)
     np.testing.assert_array_equal(tgt, yb)
 
@@ -434,6 +435,50 @@ def test_mixing_rejects_a_nonpositive_alpha(mix, alpha):
     batch = np.zeros((2, 3, 4, 4))
     with pytest.raises(ParameterError, match="alpha must be positive"):
         mix(batch, batch, one_hot_rows([0, 1]), one_hot_rows([1, 0]), alpha, Rng(0))
+
+
+def _read_only(batch):
+    batch.flags.writeable = False
+    return batch
+
+
+# each case's (batch_a, batch_b, error): a mix writes into batch_a, and
+# computes batch_b's rows in batch_a's dtype
+UNWRITABLE = {
+    "read-only": (lambda: _read_only(np.zeros((2, 3, 4, 4))), np.ones((2, 3, 4, 4)), ContractError),
+    "int": (lambda: np.zeros((2, 3, 4, 4), np.int64), np.ones((2, 3, 4, 4), np.int64),
+            DimensionError),
+    "dtype-pair": (lambda: np.zeros((2, 3, 4, 4), np.float32), np.ones((2, 3, 4, 4)),
+                   DimensionError),
+}
+
+
+@pytest.mark.parametrize("mix", [aug.mixup, aug.cutmix], ids=["mixup", "cutmix"])
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_mixing_refuses_a_batch_it_cannot_write_in_place(mix, case):
+    make_a, batch_b, error = UNWRITABLE[case]
+    batch_a = make_a()
+    before = batch_a.copy()
+    with pytest.raises(error, match="read-only|float dtype"):
+        mix(batch_a, batch_b, one_hot_rows([0, 1]), one_hot_rows([1, 0]), 1.0, Rng(0))
+    assert batch_a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("mix", [aug.mixup, aug.cutmix], ids=["mixup", "cutmix"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_mixing_a_mirror_view_gives_the_copied_partner_bytes(mix, n):
+    # _apply_mix passes batch_a[::-1]: every pair of mirrored rows must be
+    # read before either is written, the middle row of an odd batch too
+    gen = np.random.default_rng(n)
+    a = gen.normal(size=(n, 3, 16, 16)).astype(np.float32)
+    ya = one_hot_rows(gen.integers(0, 4, n))
+    for seed in range(5):
+        expected = mix(a.copy(), a[::-1].copy(), ya, ya[::-1], 0.8, Rng(seed))
+        batch = a.copy()
+        got = mix(batch, batch[::-1], ya, ya[::-1], 0.8, Rng(seed))
+        assert got[0] is batch
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
 
 
 def test_cutmix_rejects_non_square():
@@ -702,7 +747,7 @@ def test_mixup_pins_the_whole_batch_formula(dtype, lam):
     a, b = (gen.normal(size=(5, 3, 16, 16)).astype(dtype) for _ in range(2))
     ya, yb = one_hot_rows([0, 1, 2, 3, 0]), one_hot_rows([3, 2, 1, 0, 1])
     rng = Rng(9) if lam is None else ScriptedRng(lam)
-    images, targets = aug.mixup(a, b, ya, yb, 0.8, rng)
+    images, targets = aug.mixup(a.copy(), b, ya, yb, 0.8, rng)
     drawn = Rng(9).beta(0.8, 0.8) if lam is None else lam
     expected = (drawn * a + (1.0 - drawn) * b).astype(dtype, copy=False)
     assert images.dtype == expected.dtype
@@ -715,7 +760,7 @@ def test_cutmix_pins_the_whole_batch_formula():
     a, b = (gen.normal(size=(4, 3, 32, 32)).astype(np.float32) for _ in range(2))
     ya, yb = one_hot_rows([0, 1, 2, 3]), one_hot_rows([3, 2, 1, 0])
     for seed in range(10):
-        images, targets = aug.cutmix(a, b, ya, yb, 1.0, Rng(seed))
+        images, targets = aug.cutmix(a.copy(), b, ya, yb, 1.0, Rng(seed))
         rng = Rng(seed)
         bw = int(math.floor(32 * math.sqrt(max(0.0, 1.0 - rng.beta(1.0, 1.0))) + 0.5))
         cx, cy = rng.randint(32), rng.randint(32)

@@ -241,6 +241,18 @@ def test_bce_contracts():
         opt.bce_loss(logits, np.array([[1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("loss", [opt.bce_loss, opt.ce_smoothed_loss], ids=["bce", "ce"])
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)], ids=["no-rows", "no-classes"])
+def test_losses_refuse_an_empty_batch_before_recording(loss, shape, monkeypatch):
+    made = []
+    real_make = nm._make
+    monkeypatch.setattr(nm, "_make", lambda *args: made.append(1) or real_make(*args))
+    logits = Tensor(np.zeros(shape), requires_grad=True, dtype=np.float64)
+    with pytest.raises(DimensionError, match="no logits"):
+        loss(logits, np.zeros(shape))
+    assert made == []
+
+
 def test_bce_extreme_logits_finite():
     logits = Tensor(np.array([[800.0, -800.0]]), requires_grad=True, dtype=np.float64)
     loss = opt.bce_loss(logits, np.array([[0.0, 1.0]]))

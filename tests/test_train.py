@@ -6,6 +6,7 @@ import ctypes
 import gc
 import multiprocessing
 import os
+import pickle
 import platform
 import re
 import signal
@@ -13,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -577,6 +579,8 @@ def _loader_heap_in_epoch_1(manifest, monkeypatch):
         def send(self, item):
             if isinstance(item, Exception):
                 raise item
+
+        def send_bytes(self, images):
             if self.sent == steps:
                 gc.collect()
                 readings.append(tracemalloc.get_traced_memory()[0])
@@ -633,11 +637,91 @@ def test_apply_mix_pins_the_call_with_copied_partners(batch):
         before = images.copy(), targets.copy()
         kinds.add(aug.mix_dispatch(recipe, Rng(seed)))
         got = trn._apply_mix(images, targets, recipe, Rng(seed))
-        expected = _apply_mix_with_copied_partners(*before, recipe, Rng(seed))
+        # the images are mixed in place; the reference mixes copies of the inputs
+        expected = _apply_mix_with_copied_partners(
+            before[0].copy(), before[1].copy(), recipe, Rng(seed)
+        )
+        assert got[0] is images
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
         assert [a.dtype for a in got] == [a.dtype for a in expected]
-        assert images.tobytes() == before[0].tobytes() and targets.tobytes() == before[1].tobytes()
+        assert targets.tobytes() == before[1].tobytes()
     assert kinds == {"mixup", "cutmix"}
+
+
+@pytest.mark.parametrize("kind", ["mixup", "cutmix"])
+def test_apply_mix_keeps_its_scratch_below_a_quarter_batch(kind):
+    recipe = cfg.RecipeConfig(
+        mixup_alpha=0.8 if kind == "mixup" else 0.0, cutmix_alpha=1.0 if kind == "cutmix" else 0.0
+    )
+    gen = np.random.default_rng(3)
+    images = gen.normal(size=(32, 3, 64, 64)).astype(np.float32)
+    targets = trn.one_hot(gen.integers(0, 4, 32), 4)
+    trn._apply_mix(images, targets, recipe, Rng(0))  # first-call set-up is not the mix's
+    tracemalloc.start()
+    try:
+        trn._apply_mix(images, targets, recipe, Rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 4, (peak, images.nbytes)
+
+
+def test_the_loader_holds_one_batch_and_sends_its_own_buffer(tmp_path, monkeypatch):
+    """An in-process `_load_batches` on stub pipe ends: from the first batch's
+    send to the second's, the traced heap peaks below 1.5 batches, so the
+    first batch is gone before the second is made and no send copies it."""
+    recipe = toy_recipe(batch_size=64, train_resolution=64, epochs=1, warmup_epochs=0)
+    manifest = dat.synth_dataset(
+        dat.SynthSpec(num_classes=2, per_class=64, resolution=64, seed=5), tmp_path
+    )
+    assert dat.epoch_steps(len(manifest), recipe.batch_size, recipe.repeated_aug) >= 2
+    batch_bytes = recipe.batch_size * 3 * 64 * 64 * 4
+    real_mix, mixed, peaks = trn._apply_mix, [], []
+
+    def apply_mix(*args):
+        images, targets = real_mix(*args)
+        mixed.append(weakref.ref(images))  # a reference would keep the batch alive
+        return images, targets
+
+    class Sender:
+        def send(self, item):
+            if isinstance(item, Exception):
+                raise item
+            pickle.dumps(item)  # what a pipe's `send` makes
+
+        def send_bytes(self, images):
+            assert np.shares_memory(images, mixed[-1]())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            if len(peaks) == 2:
+                raise _StopLoader
+
+    class Receiver:
+        def close(self):
+            pass
+
+    monkeypatch.setattr(trn, "_apply_mix", apply_mix)
+    monkeypatch.setattr(trn.signal, "signal", lambda *args: None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopLoader):
+            trn._load_batches(Sender(), Receiver(), manifest, recipe)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * batch_bytes, (peaks, batch_bytes)
+
+
+def _send_targets_then_exit(sender, receiver, manifest, recipe):
+    receiver.close()
+    sender.send(trn.one_hot(np.zeros(recipe.batch_size, np.int64), manifest.num_classes))
+
+
+def test_a_loader_that_exits_between_targets_and_images_fails_typed(synth_root, monkeypatch):
+    monkeypatch.setattr(trn, "_load_batches", _send_targets_then_exit)
+    with deadline(60), trn._batch_loader(synth_root, toy_recipe()) as receive:
+        with pytest.raises(ContractError, match=r"code 0 .*epoch 2 step 5$"):
+            receive(2, 5)
+    assert multiprocessing.active_children() == []
 
 
 def test_spawned_loader_gives_the_same_checkpoint(tmp_path, synth_root, monkeypatch):
